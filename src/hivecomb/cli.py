@@ -429,6 +429,9 @@ def main(argv=None) -> int:
             HivecombError) as ex:
         print(f"invalid input: {ex}", file=sys.stderr)
         return 2
+    except ArithmeticError as ex:
+        print(f"arithmetic out of range: {ex}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -354,14 +354,18 @@ class LPOutcome:
         return not self.ties
 
 
-def lp_maximize(objective: ObjectiveVector, t: BoundaryTriple,
-                probe=True) -> LPOutcome:
+def lp_maximize(objective: ObjectiveVector, t: BoundaryTriple) -> LPOutcome:
     """Maximize the functional over the hive polytope of boundary t.
 
     Raises Infeasible when the polytope is empty; Unbounded cannot happen
-    for hive polytopes and is left to propagate as an internal error.  With
-    probe on, every interior entry is re-optimized both ways across the
-    optimal face, so ties lists exactly the entries the optimum leaves free.
+    for hive polytopes and is left to propagate as an internal error.  The
+    simplex works on the free-basic tableau, where the interior entries
+    never leave the basis, and reads uniqueness off the optimal tableau:
+    when every nonbasic slack column has a strictly negative reduced cost,
+    the optimum is the only one and ties is empty with no further solve.
+    Otherwise the certificate is inconclusive, and every interior entry is
+    re-optimized both ways across the optimal face, so ties lists exactly
+    the entries the optimum leaves free.
     """
     n = t.n
     if objective.n != n:
@@ -372,7 +376,7 @@ def lp_maximize(objective: ObjectiveVector, t: BoundaryTriple,
     hive = _hive_from_parts(n, bvals, dict(zip(inter, sol.x)))
     value = sol.value + sum(objective.coeffs[p] * v for p, v in bvals.items())
     ties = []
-    if probe and inter:
+    if not sol.unique:
         face = rows + [(tuple(c), -sol.value)]
         for i, p in enumerate(inter):
             probe_c = [Fraction(0)] * len(inter)

@@ -1,8 +1,25 @@
 """Exact rational linear programming by two-phase simplex.
 
-Small and deterministic rather than fast: dense Fraction tableaus, Bland's
-least-index rule for anti-cycling, and a Farkas certificate verified before
-returning.  Problem sizes here stay tiny (a few dozen rows).
+Each row coef.x + const >= 0 gets a slack s_i = coef.x + const >= 0.  The
+variables x are free, and the tableau starts with one Gaussian pivot per
+free variable: x_j enters the basis on a row of its own, and that row is set
+aside.  A set-aside row expresses x_j through the slacks; it takes part in
+no ratio test, so x_j never leaves the basis.  Phase 1 and phase 2 then run
+on the slack and artificial columns of the remaining rows only, with no
+x+/x- split.
+
+The optimum comes with two certificates read from the final tableau:
+
+* optimality: the multipliers u_i >= 0 are minus the slack reduced costs,
+  and they are checked exactly before returning;
+* uniqueness: when every nonbasic slack column has a strictly negative
+  reduced cost, any move off x loses objective, so x is the only optimum
+  (Mangasarian, "Uniqueness of solution in linear programming", LAA 1979).
+  A zero reduced cost leaves the question open.
+
+Small and deterministic rather than fast: Fraction tableaus updated only
+where the pivot row is nonzero, and Bland's least-index rule for
+anti-cycling.  Problem sizes here stay tiny (a few dozen rows).
 """
 
 from dataclasses import dataclass
@@ -18,75 +35,109 @@ class LPSolution:
     x maximizes value = c.x over the rows; multipliers u >= 0 are supported
     on active rows and satisfy sum(u_i * a_i) = -c, which proves optimality:
     c.x = -sum(u_i a_i.x) <= sum(u_i const_i) = c.x* for every feasible x.
+    unique is True when the optimal tableau proves x the only optimum; False
+    proves nothing either way.
     """
 
     x: tuple
     value: Fraction
     multipliers: tuple
+    unique: bool
+
+
+def _pivot(tab, r, col, rows):
+    """Make column col basic in row r, eliminating it from the given rows."""
+    prow = tab[r]
+    piv = prow[col]
+    if piv != 1:
+        prow[:] = [v / piv if v else v for v in prow]
+    nz = [j for j, v in enumerate(prow) if v]
+    for i in rows:
+        row = tab[i]
+        f = row[col]
+        if i != r and f:
+            for j in nz:
+                row[j] -= f * prow[j]
+
+
+def _subtract(dst, f, src):
+    """dst -= f * src, touching only the nonzero entries of src."""
+    for j, v in enumerate(src):
+        if v:
+            dst[j] -= f * v
 
 
 def maximize(c, rows) -> LPSolution:
     """Maximize c.x subject to coef.x + const >= 0 for each row.
 
     Variables are free.  Raises Infeasible when the rows exclude every x,
-    Unbounded when the objective grows without limit.
+    Unbounded when the objective grows without limit, ValueError when a row
+    does not have one coefficient per variable.
     """
     c = [Fraction(v) for v in c]
     rows = [([Fraction(v) for v in coef], Fraction(const))
             for coef, const in rows]
     k = len(c)
     m = len(rows)
-    assert all(len(coef) == k for coef, _ in rows)
+    if any(len(coef) != k for coef, _ in rows):
+        raise ValueError(f"every row needs {k} coefficients")
 
-    # columns: x+ (k), x- (k), slack (m), artificial (as needed), rhs last.
-    # row i encodes -a.x <= const, i.e. -a.(x+ - x-) + s_i = const.
-    ncols = 2 * k + m
-    tab = []
-    art_of = {}
+    # row i: -a_i.x + s_i = const_i, laid out as [x (k) | s (m) | rhs]
+    zero = Fraction(0)
+    full = []
     for i, (coef, const) in enumerate(rows):
-        row = ([-v for v in coef] + [v for v in coef]
-               + [Fraction(0)] * m + [const])
-        row[2 * k + i] = Fraction(1)
-        if const < 0:
+        row = [-v for v in coef] + [zero] * m + [const]
+        row[k + i] = Fraction(1)
+        full.append(row)
+
+    # one Gaussian pivot per free variable; a column with nothing left to
+    # pivot on is a line in the feasible set, kept nonbasic at zero
+    aside = {}  # free variable -> its set-aside row
+    for j in range(k):
+        r = next((i for i in range(m)
+                  if i not in aside.values() and full[i][j]), None)
+        if r is not None:
+            _pivot(full, r, j, range(m))
+            aside[j] = r
+    lines = [j for j in range(k) if j not in aside]
+    cons = [i for i in range(m) if i not in aside.values()]
+
+    # the remaining rows mention slacks only; a negative constant needs an
+    # artificial: columns are [s (m) | artificial (nart) | rhs]
+    tab = []
+    art_rows = []
+    for i in cons:
+        row = full[i][k:]
+        if row[-1] < 0:
             row = [-v for v in row]
-            art_of[i] = ncols + len(art_of)
+            art_rows.append(len(tab))
         tab.append(row)
-    nart = len(art_of)
-    for i, row in enumerate(tab):
-        row[-1:-1] = [Fraction(0)] * nart
-        if i in art_of:
-            row[art_of[i]] = Fraction(1)
-    width = ncols + nart
+    nart = len(art_rows)
+    for row in tab:
+        row[-1:-1] = [zero] * nart
+    for a, r in enumerate(art_rows):
+        tab[r][m + a] = Fraction(1)
+    width = m + nart
+    basis = list(cons)
+    for a, r in enumerate(art_rows):
+        basis[r] = m + a
+    every = range(len(tab))
 
-    basis = [art_of.get(i, 2 * k + i) for i in range(m)]
-
-    def objective_row(cost):
+    def price(obj):
         # reduced costs against the current basis; the rhs cell carries
         # minus the objective value of the basic solution
-        obj = list(cost) + [Fraction(0)]
         for r, b in enumerate(basis):
-            if obj[b] != 0:
-                f = obj[b]
-                obj = [v - f * w for v, w in zip(obj, tab[r])]
+            if obj[b]:
+                _subtract(obj, obj[b], tab[r])
         return obj
 
-    def pivot(r, col):
-        piv = tab[r][col]
-        tab[r] = [v / piv for v in tab[r]]
-        for i in range(m):
-            if i != r and tab[i][col] != 0:
-                f = tab[i][col]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[r])]
-        basis[r] = col
-
-    def run(obj, banned):
+    def run(obj):
         while True:
-            enter = next((j for j in range(width)
-                          if j not in banned and obj[j] > 0), None)
+            enter = next((j for j in range(width) if obj[j] > 0), None)
             if enter is None:
                 return obj
             best = None
-            for i in range(m):
+            for i in every:
                 if tab[i][enter] > 0:
                     ratio = tab[i][-1] / tab[i][enter]
                     if (best is None or ratio < best[0]
@@ -95,50 +146,59 @@ def maximize(c, rows) -> LPSolution:
             if best is None:
                 raise Unbounded("objective increases without limit")
             r = best[1]
-            f = obj[enter] / tab[r][enter]
-            obj = [v - f * w for v, w in zip(obj, tab[r])]
-            pivot(r, enter)
+            _pivot(tab, r, enter, every)
+            _subtract(obj, obj[enter], tab[r])
+            basis[r] = enter
 
     if nart:
-        phase1 = [Fraction(0)] * width
-        for col in art_of.values():
-            phase1[col] = Fraction(-1)
-        obj = run(objective_row(phase1), banned=frozenset())
+        phase1 = [zero] * m + [Fraction(-1)] * nart + [zero]
+        obj = run(price(phase1))
         if obj[-1] > 0:
             raise Infeasible("empty polytope")
-        # drive leftover zero-value artificials out of the basis
-        for r in range(m):
-            if basis[r] >= ncols:
-                col = next((j for j in range(ncols) if tab[r][j] != 0), None)
-                if col is not None:
-                    pivot(r, col)
+        # drive leftover zero-value artificials out of the basis: the slack
+        # parts of the rows stay independent, so each row has a slack to
+        # pivot on; then drop the artificial columns
+        for r in every:
+            if basis[r] >= m:
+                col = next(j for j in range(m) if tab[r][j])
+                _pivot(tab, r, col, every)
+                basis[r] = col
+        tab = [row[:m] + row[-1:] for row in tab]
+        width = m
 
-    cost = [v for v in c] + [-v for v in c] + [Fraction(0)] * m
-    cost += [Fraction(0)] * nart
-    banned = frozenset(range(ncols, width))
-    obj = run(objective_row(cost), banned)
+    # the objective through the set-aside rows: x_j = rhs - (rest of row)
+    for j in lines:
+        if c[j] != sum(c[i] * full[r][j] for i, r in aside.items()):
+            raise Unbounded("objective increases along a line")
+    cost = [zero] * (m + 1)
+    for i, r in aside.items():
+        _subtract(cost, c[i], full[r][k:])
+    obj = run(price(cost))
 
-    xplus = [Fraction(0)] * k
-    xminus = [Fraction(0)] * k
+    s = [zero] * m
     for r, b in enumerate(basis):
-        if b < k:
-            xplus[b] = tab[r][-1]
-        elif b < 2 * k:
-            xminus[b - k] = tab[r][-1]
-    x = tuple(p - q for p, q in zip(xplus, xminus))
-
-    mult = []
-    for i in range(m):
-        u = obj[2 * k + i]
-        mult.append(u if u >= 0 else -u)
+        s[b] = tab[r][-1]
+    x = [zero] * k
+    for j, r in aside.items():
+        x[j] = full[r][-1] - sum(v * sv for v, sv in zip(full[r][k:-1], s)
+                                 if v and sv)
+    x = tuple(x)
+    mult = tuple(-obj[i] for i in range(m))
     value = sum(v * xi for v, xi in zip(c, x))
+    basic = set(basis)
+    unique = not lines and all(obj[j] < 0 for j in range(m)
+                               if j not in basic)
 
     # exact certificate check: u >= 0 on active rows only, sum u_i a_i = -c
     for ui, (coef, const) in zip(mult, rows):
         slack = sum(v * xi for v, xi in zip(coef, x)) + const
-        assert slack >= 0, "optimizer infeasible"
-        assert ui == 0 or slack == 0, "multiplier on a slack row"
+        if slack < 0:
+            raise RuntimeError("simplex optimizer is infeasible")
+        if ui < 0 or (ui != 0 and slack != 0):
+            raise RuntimeError("simplex multiplier negative or on a slack row")
     for j in range(k):
         total = sum(ui * coef[j] for ui, (coef, _) in zip(mult, rows))
-        assert total == -c[j], "certificate does not balance the objective"
-    return LPSolution(x, value, tuple(mult))
+        if total != -c[j]:
+            raise RuntimeError("simplex certificate does not balance the "
+                               "objective")
+    return LPSolution(x, value, mult, unique)

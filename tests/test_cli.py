@@ -63,6 +63,15 @@ class TestLrCount:
                          "--mu", "2,1,0", "--nu", "-1,-2,-3")
         assert code == 2
 
+    def test_overflow_exits_2(self):
+        big = 1 << 62
+        code, out, err = run(
+            "lr-count", "--lambda", f"{big + 2},{big + 1},{big}",
+            "--mu", "2,1,0", "--nu", f"{-big - 1},{-big - 2},{-big - 3}")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "out of range" in err
+
     def test_oracle_mismatch_exits_3(self, monkeypatch):
         monkeypatch.setattr(cli, "transcribed_lr_count", lambda t: 99)
         code, _, err = run("lr-count", "-n", "3", "--lambda", "2,1,0",

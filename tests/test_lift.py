@@ -21,7 +21,9 @@ from hivecomb.hive import HiveShape, exists_lattice_hive, root_of
 from hivecomb.oracles import enumerate_polytope_vertices
 from hivecomb.reconstruct import HalfEdge, PostElisionGraph
 from hivecomb import _kernels
-from hivecomb.lift import _boundary_grid, _vertex_plan
+from hivecomb import lift as lift_module
+from hivecomb.lift import _boundary_grid, _lp_rows, _vertex_plan
+from hivecomb.simplex import maximize
 
 F = Fraction
 
@@ -44,6 +46,36 @@ def entries(h):
 def mix(a, b, lam):
     """Convex combination of two hives over the same boundary."""
     return Hive(a.n, [(1 - lam) * a[p] + lam * b[p] for p in hive_indices(a.n)])
+
+
+def feasible_boundary(n, rng, bound=6):
+    """A seeded boundary triple whose hive polytope is not empty."""
+    while True:
+        lam, mu = (tuple(sorted((rng.randint(-bound, bound) for _ in range(n)),
+                                reverse=True)) for _ in range(2))
+        nus = dominant_vectors(n, -2 * bound, 2 * bound,
+                               -(sum(lam) + sum(mu)))
+        if nus:
+            t = BoundaryTriple(lam, mu, rng.choice(nus))
+            if exists_lattice_hive(t):
+                return t
+
+
+def reference_ties(objective, t):
+    """Entries free on the optimal face, by solving for both extremes."""
+    inter, _, rows = _lp_rows(t)
+    c = [objective.coeffs[p] for p in inter]
+    face = rows + [(c, -maximize(c, rows).value)]
+    ties = []
+    for i, p in enumerate(inter):
+        unit = [0] * len(inter)
+        unit[i] = 1
+        hi = maximize(unit, face).value
+        unit[i] = -1
+        lo = -maximize(unit, face).value
+        if lo != hi:
+            ties.append((p, lo, hi))
+    return tuple(ties)
 
 
 class FakeVertex:
@@ -256,6 +288,30 @@ class TestLP:
         assert not out.unique
         assert out.ties == (((1, 1), F(1), F(2)),)
 
+    def test_ties_match_reference_probe(self):
+        rng = random.Random(23)
+        cases = [(ObjectiveVector(3, {p: F(0) for p in hive_indices(3)}),
+                  ADJ)]
+        for n in (2, 3, 4, 5):
+            for seed in range(3):
+                cases.append((wperim_objective(make_weight_function(n, seed)),
+                              feasible_boundary(n, rng)))
+        # one entry's height alone: raising (1, 1) ends at a degenerate
+        # vertex the tableau cannot certify, lowering it ends on an edge
+        t4 = BoundaryTriple((4, 2, 1, 0), (3, 2, 1, 0), (-1, -3, -4, -5))
+        for sign in (1, -1):
+            cases.append((ObjectiveVector(4, {p: F(sign * (p == (1, 1)))
+                                              for p in hive_indices(4)}),
+                          t4))
+        untied = 0
+        for ov, t in cases:
+            out = lp_maximize(ov, t)
+            ref = reference_ties(ov, t)
+            assert out.ties == ref, t
+            assert out.unique == (ref == ()), t
+            untied += out.unique
+        assert 0 < untied < len(cases)
+
     def test_matches_vertex_enumeration(self):
         rng = random.Random(9)
         ov = wperim_objective(make_weight_function(3, seed=2))
@@ -290,6 +346,18 @@ class TestLargestLift:
         assert rep.retries == 0
         assert rep.objective_value == F(279879, 512)
         assert len(rep.forest.nodes) == 3 and len(rep.forest.edges) == 0
+
+    def test_generic_lift_solves_once(self, monkeypatch):
+        calls = []
+
+        def counted(c, rows):
+            calls.append(len(c))
+            return maximize(c, rows)
+
+        monkeypatch.setattr(lift_module, "maximize", counted)
+        rep = largest_lift(feasible_boundary(5, random.Random(5)))
+        assert rep.retries == 0
+        assert calls == [6]
 
     def test_gl2(self):
         rep = largest_lift(GL2)
