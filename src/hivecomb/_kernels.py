@@ -1,169 +1,101 @@
-"""Interior-entry DFS kernels for lattice hive counting.
+"""int64 numpy kernels for the two enumeration hot loops.
 
-Two interchangeable implementations: a numba-compiled depth-first scan and a
-pure-numpy frontier expansion.  HIVECOMB_NO_NUMBA=1 forces the numpy path;
-otherwise numba is used whenever it imports cleanly.  Both consume the same
-constraint schedule: per interior entry, CSR lists of bound triples
-(a, b, c) meaning entry >= E[a]+E[b]-E[c] (lower) or <= E[a]+E[b]-E[c]
-(upper), with all referenced slots filled earlier in the scan.
+`frontier` walks the lattice points of hive polytopes: it fills the interior
+entries of a batch of boundary rows one at a time, in the antidiagonal scan
+order of `hive._scan_plan`.  The schedule comes as CSR lists of bound
+triples per interior entry: (a, b, c) means entry >= E[a]+E[b]-E[c] (lower)
+or <= E[a]+E[b]-E[c] (upper), with every referenced slot filled earlier in
+the scan.  Callers keep every entry within +-2^60, so no bound reaches the
++-2^62 sentinels and no width overflows.
+
+`vertex_scan` tests the stored square subsystems of a hive polytope for a
+feasible nonintegral solution.
 """
-
-import os
 
 import numpy as np
 
-_FORCED_OFF = os.environ.get("HIVECOMB_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
+# numba is not used; perfbench's worker prints this in its environment line.
 HAVE_NUMBA = False
-if not _FORCED_OFF:
-    try:
-        from numba import njit
-        HAVE_NUMBA = True
-    except ImportError:
-        pass
+
+#: Children a frontier layer materialises at once.  A wider layer is cut
+#: into pieces of this many children, finished depth-first one after the
+#: other, so memory stays O(K * FRONTIER_ROWS) rows whatever the count.
+FRONTIER_ROWS = 1 << 14
+
+_SENTINEL = 1 << 62
 
 
-def _count_py(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc, exists_only):
-    K = iidx.shape[0]
-    if K == 0:
-        return 1
-    hi = np.empty(K, np.int64)
-    val = np.empty(K, np.int64)
-    count = 0
-    k = 0
-    descend = True
-    while k >= 0:
-        if descend:
-            l = -(1 << 62)
-            h = 1 << 62
-            for t in range(lo_ptr[k], lo_ptr[k + 1]):
-                b = entries[lo_abc[t, 0]] + entries[lo_abc[t, 1]] - entries[lo_abc[t, 2]]
-                if b > l:
-                    l = b
-            for t in range(up_ptr[k], up_ptr[k + 1]):
-                b = entries[up_abc[t, 0]] + entries[up_abc[t, 1]] - entries[up_abc[t, 2]]
-                if b < h:
-                    h = b
-            hi[k] = h
-            val[k] = l
-        else:
-            val[k] += 1
-        if val[k] > hi[k]:
-            k -= 1
-            descend = False
-            continue
-        entries[iidx[k]] = val[k]
-        if k == K - 1:
-            count += 1
-            if exists_only:
-                return 1
-            descend = False
-        else:
-            k += 1
-            descend = True
-    return count
+def _layer(rows, k, lo_ptr, lo_abc, up_ptr, up_abc):
+    """Lowest value of entry k in each row, and how many values it can take."""
+    x = rows[:, lo_abc[lo_ptr[k]:lo_ptr[k + 1]]]
+    lo = (x[..., 0] + x[..., 1] - x[..., 2]).max(axis=1, initial=-_SENTINEL)
+    x = rows[:, up_abc[up_ptr[k]:up_ptr[k + 1]]]
+    hi = (x[..., 0] + x[..., 1] - x[..., 2]).min(axis=1, initial=_SENTINEL)
+    return lo, np.maximum(hi - lo + 1, 0)
 
 
-if HAVE_NUMBA:
-    _count_njit = njit(cache=True)(_count_py)
-else:
-    _count_njit = None
+def frontier(rows, iidx, lo_ptr, lo_abc, up_ptr, up_abc, ids=None,
+             exists_only=False, keep_rows=False):
+    """Complete the boundary rows `rows` (2-D int64) to every lattice hive.
 
-
-def count_numpy(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc, exists_only=False):
-    """Frontier expansion: one layer of partial assignments per interior entry.
-
-    Width is bounded by the running count, which stays desk-scale for the
-    boundaries this package targets.
+    Returns (count, final rows).  count is an int, or, when `ids` tags each
+    row with a boundary id, an int64 array of counts per id.  exists_only
+    (for an untagged batch) stops at the first complete row and counts it
+    as 1.  The final rows, in lexicographic order of the interior entries
+    in scan order, come back only with keep_rows; otherwise the last entry
+    is counted from its widths and never materialised.
     """
     K = iidx.shape[0]
-    if K == 0:
-        return 1
-    frontier = entries[np.newaxis, :].copy()
-    for k in range(K):
-        lo = np.full(frontier.shape[0], -(1 << 62), np.int64)
-        for t in range(lo_ptr[k], lo_ptr[k + 1]):
-            b = frontier[:, lo_abc[t, 0]] + frontier[:, lo_abc[t, 1]] - frontier[:, lo_abc[t, 2]]
-            np.maximum(lo, b, out=lo)
-        hi = np.full(frontier.shape[0], 1 << 62, np.int64)
-        for t in range(up_ptr[k], up_ptr[k + 1]):
-            b = frontier[:, up_abc[t, 0]] + frontier[:, up_abc[t, 1]] - frontier[:, up_abc[t, 2]]
-            np.minimum(hi, b, out=hi)
-        width = np.clip(hi - lo + 1, 0, None)
-        total = int(width.sum())
-        if total == 0:
-            return 0
-        rows = np.repeat(np.arange(frontier.shape[0]), width)
-        offs = np.arange(total) - np.repeat(np.cumsum(width) - width, width)
-        frontier = frontier[rows]
-        frontier[:, iidx[k]] = np.repeat(lo, width) + offs
-    return frontier.shape[0]
+    total = 0 if ids is None else np.zeros(int(ids.max()) + 1, np.int64)
+    done = [rows[:0]]
+    # (k, parent rows, parent ids, child -> parent, value of entry k - 1)
+    stack = [(0, rows, ids, None, None)]
+    while stack and not (exists_only and total):
+        k, rows, ids, pick, value = stack.pop()
+        if pick is not None:
+            rows = rows[pick]
+            rows[:, iidx[k - 1]] = value
+            ids = None if ids is None else ids[pick]
+        if k == K:
+            total += rows.shape[0] if ids is None else np.bincount(
+                ids, minlength=total.shape[0])
+            done.append(rows)
+            continue
+        lo, width = _layer(rows, k, lo_ptr, lo_abc, up_ptr, up_abc)
+        if k == K - 1 and not keep_rows:
+            # Python ints: a sum of int64 widths can wrap
+            total += sum(width.tolist()) if ids is None else np.bincount(
+                np.repeat(ids, width), minlength=total.shape[0])
+            continue
+        pick = np.repeat(np.arange(rows.shape[0]), width)
+        value = np.arange(pick.shape[0]) + (lo - np.cumsum(width) + width)[pick]
+        for s in reversed(range(0, pick.shape[0], FRONTIER_ROWS)):
+            stack.append((k + 1, rows, ids, pick[s:s + FRONTIER_ROWS],
+                          value[s:s + FRONTIER_ROWS]))
+    if exists_only:
+        return min(total, 1), None
+    return total, np.concatenate(done) if keep_rows else None
 
 
-def _require_numba():
-    if not HAVE_NUMBA:
-        raise RuntimeError(
-            "numba backend unavailable: numba is not installed or is disabled "
-            "by HIVECOMB_NO_NUMBA")
+def count_assignments(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc,
+                      exists_only=False):
+    """Number of lattice hives on the boundary row `entries` (1 or 0 with
+    exists_only)."""
+    return frontier(entries[np.newaxis, :], iidx, lo_ptr, lo_abc, up_ptr,
+                    up_abc, exists_only=exists_only)[0]
 
 
-def count_numba(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc, exists_only=False):
-    _require_numba()
-    return int(_count_njit(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc, exists_only))
-
-
-def count_assignments(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc, exists_only=False):
-    if HAVE_NUMBA:
-        return count_numba(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc, exists_only)
-    return count_numpy(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc, exists_only)
-
-
-def _vertex_scan_py(coefs, consts, sub_rows, sub_adj, sub_det):
+def vertex_scan(coefs, consts, sub_rows, sub_adj, sub_det):
     """Index of the first stored subset giving a feasible nonintegral point.
 
     Rows read coef.x + const >= 0.  For subset s with row list R, the unique
     solution of coef[R].x = -const[R] is x = (adj @ -const[R]) / det with
     det > 0, so x is integral iff det divides every numerator.  Only subsets
     with det >= 2 are stored; everything stays well inside int64.  Returns -1
-    when no stored subset yields a feasible nonintegral solution.
+    when no stored subset yields a feasible nonintegral solution.  Subsets
+    are scanned in chunks to bound memory.
     """
-    S = sub_rows.shape[0]
-    m = coefs.shape[0]
-    k = coefs.shape[1]
-    numer = np.empty(k, np.int64)
-    for s in range(S):
-        det = sub_det[s]
-        nonint = False
-        for i in range(k):
-            acc = np.int64(0)
-            for j in range(k):
-                acc -= sub_adj[s, i, j] * consts[sub_rows[s, j]]
-            numer[i] = acc
-            if acc % det != 0:
-                nonint = True
-        if not nonint:
-            continue
-        feasible = True
-        for r in range(m):
-            acc = consts[r] * det
-            for i in range(k):
-                acc += coefs[r, i] * numer[i]
-            if acc < 0:
-                feasible = False
-                break
-        if feasible:
-            return s
-    return -1
-
-
-if HAVE_NUMBA:
-    _vertex_scan_njit = njit(cache=True)(_vertex_scan_py)
-else:
-    _vertex_scan_njit = None
-
-
-def vertex_scan_numpy(coefs, consts, sub_rows, sub_adj, sub_det, chunk=1 << 14):
-    """Batched variant of the subset scan, chunked to bound memory."""
+    chunk = 1 << 14
     S = sub_rows.shape[0]
     for lo in range(0, S, chunk):
         rows = sub_rows[lo:lo + chunk]
@@ -178,14 +110,3 @@ def vertex_scan_numpy(coefs, consts, sub_rows, sub_adj, sub_det, chunk=1 << 14):
         if hits.size:
             return lo + int(hits[0])
     return -1
-
-
-def vertex_scan_numba(coefs, consts, sub_rows, sub_adj, sub_det):
-    _require_numba()
-    return int(_vertex_scan_njit(coefs, consts, sub_rows, sub_adj, sub_det))
-
-
-def vertex_scan(coefs, consts, sub_rows, sub_adj, sub_det):
-    if HAVE_NUMBA:
-        return vertex_scan_numba(coefs, consts, sub_rows, sub_adj, sub_det)
-    return vertex_scan_numpy(coefs, consts, sub_rows, sub_adj, sub_det)

@@ -343,15 +343,48 @@ def _kernel_plan(n):
     return iidx, lo_ptr, lo_abc, up_ptr, up_abc
 
 
-def _integral_boundary_array(t: BoundaryTriple):
+#: Bound on |entry| for every row the kernel scan builds; see _kernel_row.
+_ENTRY_LIMIT = 1 << 60
+
+
+def _integral_boundary(t: BoundaryTriple) -> dict:
     if not t.integral:
         raise ValueError("counting needs an integral boundary")
-    n = t.n
-    boundary = boundary_from_weights(t)
-    entries = np.zeros((n + 1) * (n + 2) // 2, dtype=np.int64)
+    return boundary_from_weights(t)
+
+
+def _twist_shift(t: BoundaryTriple) -> list:
+    """Entries lam_n*i + (lam_n+mu_n)*j, in flat order, by which a twist
+    by (lam_n, mu_n) moves hive entry (i, j).  They are linear in (i, j),
+    so no rhombus value changes."""
+    a, b = int(t.lam[-1]), int(t.mu[-1])
+    return [a * i + (a + b) * j for i, j in hive_indices(t.n)]
+
+
+def _kernel_row(t: BoundaryTriple, boundary) -> np.ndarray:
+    """The boundary of t twisted by (-lam_n, -mu_n), as an int64 kernel row.
+
+    The twist makes entry sizes depend on the spread of the weights, not on
+    their size.  The scan bounds interior entry (i, j) above by
+    H(i-1,j) + H(i,j-1) - H(i-1,j-1) and below by
+    H(i+1,j-1) + H(i-1,j) - H(i,j-1), so its step H(i,j) - H(i-1,j) lies
+    between the steps at (i+1,j-1) and (i,j-1); by induction on j, every
+    step lies in [lam_n, lam_1], which the twist moves to [0, lam_1 - lam_n].
+    So every entry of every row the scan builds is within
+    B = max|boundary entry| + (n-2)(lam_1 - lam_n), every bound triple within
+    3B and every width within 6B + 1.  B <= 2^60 keeps these inside the
+    +-2^62 sentinels and int64; past it this raises OverflowError.
+    """
+    shift = _twist_shift(t)
+    row = [0] * len(shift)
     for p, v in boundary.items():
-        entries[_flat(*p)] = int(v)
-    return entries, boundary
+        k = _flat(*p)
+        row[k] = int(v) - shift[k]
+    bound = max(map(abs, row)) + max(t.n - 2, 0) * int(t.lam[0] - t.lam[-1])
+    if bound > _ENTRY_LIMIT:
+        raise OverflowError(f"hive entries up to {bound} do not fit the int64 "
+                            f"kernels (limit 2^60)")
+    return np.array(row, dtype=np.int64)
 
 
 def _fixed_rhombi_ok(n, boundary) -> bool:
@@ -362,54 +395,46 @@ def _fixed_rhombi_ok(n, boundary) -> bool:
 
 
 def count_lattice_hives(t: BoundaryTriple) -> int:
-    """Number of integer hives with the given boundary."""
-    entries, boundary = _integral_boundary_array(t)
+    """Number of integer hives with the given boundary.
+
+    The frontier kernel walks the boundary twisted to lam_n = mu_n = 0 in
+    bounded memory; OverflowError when the weights spread past 2^60.
+    """
+    boundary = _integral_boundary(t)
     if not _fixed_rhombi_ok(t.n, boundary):
         return 0
-    return int(_kernels.count_assignments(entries, *_kernel_plan(t.n)))
+    return int(_kernels.count_assignments(_kernel_row(t, boundary),
+                                          *_kernel_plan(t.n)))
 
 
 def exists_lattice_hive(t: BoundaryTriple) -> bool:
     """Whether count_lattice_hives(t) >= 1, stopping at the first witness."""
-    entries, boundary = _integral_boundary_array(t)
+    boundary = _integral_boundary(t)
     if not _fixed_rhombi_ok(t.n, boundary):
         return False
-    return bool(_kernels.count_assignments(entries, *_kernel_plan(t.n),
+    return bool(_kernels.count_assignments(_kernel_row(t, boundary),
+                                           *_kernel_plan(t.n),
                                            exists_only=True))
 
 
 def enumerate_lattice_hives(t: BoundaryTriple):
     """The witnesses behind count_lattice_hives, sorted lexicographically."""
-    entries, boundary = _integral_boundary_array(t)
-    n = t.n
-    if not _fixed_rhombi_ok(n, boundary):
+    boundary = _integral_boundary(t)
+    if not _fixed_rhombi_ok(t.n, boundary):
         return []
-    interior, lower, upper, _ = _scan_plan(n)
-    ent = [int(x) for x in entries]
-    K = len(interior)
-    out = []
-    if K == 0:
-        return [Hive(n, ent)]
-
-    def rec(k):
-        if k == K:
-            out.append(Hive(n, list(ent)))
-            return
-        lo = max(ent[_flat(*a)] + ent[_flat(*b)] - ent[_flat(*c)]
-                 for a, b, c in lower[k])
-        hi = min(ent[_flat(*a)] + ent[_flat(*b)] - ent[_flat(*c)]
-                 for a, b, c in upper[k])
-        slot = _flat(*interior[k])
-        for v in range(lo, hi + 1):
-            ent[slot] = v
-            rec(k + 1)
-
-    rec(0)
-    return out
+    _, rows = _kernels.frontier(_kernel_row(t, boundary)[np.newaxis, :],
+                                *_kernel_plan(t.n), keep_rows=True)
+    shift = _twist_shift(t)
+    return [Hive(t.n, [v + s for v, s in zip(row, shift)])
+            for row in rows.tolist()]
 
 
 def decompose_tensor_product(lam, mu) -> dict:
-    """Multiplicities of each dominant sigma inside the product of lam and mu."""
+    """Multiplicities of each dominant sigma inside the product of lam and mu.
+
+    Every sigma whose boundary passes the fixed rhombi goes into one batch
+    of kernel rows tagged by sigma, counted in a single frontier walk.
+    """
     lam = as_weight(lam)
     mu = as_weight(mu)
     if len(lam) != len(mu):
@@ -420,12 +445,18 @@ def decompose_tensor_product(lam, mu) -> dict:
     lo = int(lam[-1] + mu[-1])
     hi = int(lam[0] + mu[0])
     total = int(sum(lam) + sum(mu))
-    out = {}
+    sigmas, rows = [], []
     for sigma in dominant_vectors(n, lo, hi, total):
-        c = count_lattice_hives(BoundaryTriple(lam, mu, sigma_to_nu(sigma)))
-        if c:
-            out[sigma] = c
-    return out
+        t = BoundaryTriple(lam, mu, sigma_to_nu(sigma))
+        boundary = boundary_from_weights(t)
+        if _fixed_rhombi_ok(n, boundary):
+            sigmas.append(sigma)
+            rows.append(_kernel_row(t, boundary))
+    if not rows:
+        return {}
+    counts, _ = _kernels.frontier(np.stack(rows), *_kernel_plan(n),
+                                  ids=np.arange(len(rows)))
+    return {s: int(c) for s, c in zip(sigmas, counts) if c}
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,21 @@ class TestLrCount:
                          "--mu", "2,1,0", "--nu", "-1,-2,-3")
         assert code == 2
 
-    def test_overflow_exits_2(self):
-        big = 1 << 62
-        code, out, err = run(
+    @pytest.mark.parametrize("shift", [61, 62])
+    def test_huge_twist_counts(self, shift):
+        # a determinant twist of ADJ: only the spread of the weights matters
+        big = 1 << shift
+        code, out, _ = run(
             "lr-count", "--lambda", f"{big + 2},{big + 1},{big}",
             "--mu", "2,1,0", "--nu", f"{-big - 1},{-big - 2},{-big - 3}")
+        assert (code, out) == (0, "2\n")
+
+    def test_overflow_exits_2(self):
+        # lambda spreads over 2^61, past the 2^60 bound of the kernels
+        big = 1 << 61
+        code, out, err = run(
+            "lr-count", "--lambda", f"{big},0,0", "--mu", "0,0,0",
+            "--nu", f"0,0,{-big}")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "out of range" in err

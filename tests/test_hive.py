@@ -1,8 +1,10 @@
 """Hive arrays: rhombus inequalities, counting, and honeycomb duality."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,8 @@ from hivecomb import (BoundaryTriple, Hive, HiveShape, RhombusViolation,
                       rhombus_value, sigma_to_nu)
 from hivecomb.hive import hive_index_of, root_of
 from hivecomb import _kernels
-from hivecomb.hive import (_fixed_rhombi_ok, _integral_boundary_array,
-                           _kernel_plan)
+from hivecomb.hive import _flat, _fixed_rhombi_ok, _kernel_plan
+from kernel_reference import count_dfs
 
 ADJ = BoundaryTriple((2, 1, 0), (2, 1, 0), (-1, -2, -3))
 
@@ -44,6 +46,17 @@ def random_hive(rng, n, span=5):
         hs = enumerate_lattice_hives(t)
         if hs:
             return rng.choice(hs)
+
+
+def dfs_count(t, exists_only=False):
+    """Reference count: the plain DFS on t's untwisted boundary."""
+    boundary = boundary_from_weights(t)
+    if not _fixed_rhombi_ok(t.n, boundary):
+        return 0
+    row = np.zeros(HiveShape(t.n).size, np.int64)
+    for p, v in boundary.items():
+        row[_flat(*p)] = int(v)
+    return int(count_dfs(row, *_kernel_plan(t.n), exists_only))
 
 
 class TestShape:
@@ -189,38 +202,65 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_lattice_hives(t)
 
-    @staticmethod
-    def _check_kernel_pair(dfs_count):
-        """count_numpy and the DFS `dfs_count` agree with count_lattice_hives."""
+    def test_kernels_agree(self):
+        """The frontier engine agrees with the reference DFS, run on the
+        untwisted boundary, in count, existence, enumeration and the batched
+        decomposition."""
         rng = random.Random(19)
         for _ in range(20):
             t = random_triple(rng, rng.randint(2, 5), span=4)
             if t is None:
                 continue
-            plan = _kernel_plan(t.n)
-            ent, boundary = _integral_boundary_array(t)
-            if not _fixed_rhombi_ok(t.n, boundary):
-                assert count_lattice_hives(t) == 0
-                continue
-            np_count = _kernels.count_numpy(ent.copy(), *plan)
-            dfs = int(dfs_count(ent.copy(), *plan, False))
-            assert np_count == dfs == count_lattice_hives(t)
+            dfs = dfs_count(t)
+            assert dfs_count(t, exists_only=True) == (dfs > 0)
+            assert count_lattice_hives(t) == dfs
+            assert exists_lattice_hive(t) == (dfs > 0)
+            entries = [h.entries for h in enumerate_lattice_hives(t)]
+            assert len(entries) == dfs
+            assert all(a < b for a, b in zip(entries, entries[1:]))
+            want = {}
+            for sigma in dominant_vectors(t.n, int(t.lam[-1] + t.mu[-1]),
+                                          int(t.lam[0] + t.mu[0]),
+                                          int(sum(t.lam) + sum(t.mu))):
+                c = dfs_count(BoundaryTriple(t.lam, t.mu, sigma_to_nu(sigma)))
+                if c:
+                    want[sigma] = c
+            got = decompose_tensor_product(t.lam, t.mu)
+            assert list(got.items()) == list(want.items())
 
-    def test_kernels_agree(self):
-        # The DFS that numba compiles, run as plain Python.
-        self._check_kernel_pair(_kernels._count_py)
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_split_frontier(self, monkeypatch, rows):
+        """Layers cut into pieces of 1 or 7 children give the same answers,
+        in the same order."""
+        cases = [ADJ, BoundaryTriple((6, 4, 2, 0), (6, 4, 2, 0),
+                                     (-2, -5, -7, -10)),
+                 BoundaryTriple((4, 3, 2, 1, 0), (4, 3, 2, 1, 0),
+                                (-2, -3, -4, -5, -6)),
+                 BoundaryTriple((4, 2, 1, 0), (3, 2, 0, 0),
+                                (-3, -3, -3, -3))]
 
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                        reason="numba not importable or HIVECOMB_NO_NUMBA set")
-    def test_kernels_agree_numba(self):
-        self._check_kernel_pair(_kernels.count_numba)
+        def answers():
+            return [(count_lattice_hives(t), exists_lattice_hive(t),
+                     enumerate_lattice_hives(t),
+                     decompose_tensor_product(t.lam, t.mu)) for t in cases]
 
-    def test_numba_backend_unavailable_error(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-        with pytest.raises(RuntimeError, match="numba backend unavailable"):
-            _kernels.count_numba(*[None] * 6)
-        with pytest.raises(RuntimeError, match="numba backend unavailable"):
-            _kernels.vertex_scan_numba(*[None] * 5)
+        want = answers()
+        assert [a[0] for a in want] == [2, 11, 16, 0]
+        monkeypatch.setattr(_kernels, "FRONTIER_ROWS", rows)
+        assert answers() == want
+
+    def test_big_count_bounded_memory(self):
+        t = BoundaryTriple(tuple(5 * x for x in (5, 4, 3, 2, 1, 0)),
+                           tuple(5 * x for x in (5, 4, 3, 2, 1, 0)),
+                           sigma_to_nu(tuple(5 * x for x in (8, 7, 6, 4, 3, 2))))
+        tracemalloc.start()
+        try:
+            count = count_lattice_hives(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 1337644
+        assert peak < 50 * 2 ** 20
 
 
 class TestDecompose:
@@ -416,3 +456,21 @@ def test_property_rotation(t):
     if t is None:
         return
     assert count_lattice_hives(t.rotated()) == count_lattice_hives(t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(-2 ** 70, 2 ** 70),
+       st.integers(-2 ** 70, 2 ** 70))
+def test_property_huge_twists(seed, a, b):
+    """Twists far past int64 change no count, existence or enumeration."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    t = random_triple(rng, n, span=3)  # often infeasible
+    if t is None or rng.random() < 0.5:
+        t = random_hive(rng, n, span=3).boundary_triple()
+    tt = t.twisted(a, b)
+    assert count_lattice_hives(tt) == count_lattice_hives(t)
+    assert exists_lattice_hive(tt) == exists_lattice_hive(t)
+    hs = enumerate_lattice_hives(tt)
+    assert len(hs) == len(enumerate_lattice_hives(t))
+    assert all(h.boundary_triple() == tt for h in hs)

@@ -24,6 +24,7 @@ from hivecomb import _kernels
 from hivecomb import lift as lift_module
 from hivecomb.lift import _boundary_grid, _lp_rows, _vertex_plan
 from hivecomb.simplex import maximize
+from kernel_reference import vertex_scan_loop
 
 F = Fraction
 
@@ -509,8 +510,8 @@ class TestKernelParity:
             bvals = boundary_from_weights(t)
             consts = bmat @ np.array([int(bvals[p]) for p in bpts], np.int64)
             args = (coefs, consts, sub_rows, sub_adj, sub_det)
-            got = _kernels.vertex_scan_numpy(*args)
-            assert got == _kernels._vertex_scan_py(*args)
+            got = _kernels.vertex_scan(*args)
+            assert got == vertex_scan_loop(*args)
             assert (got >= 0) == (t == WITNESS)
 
 
