@@ -1,8 +1,8 @@
 """int64 numpy kernels for the two enumeration hot loops.
 
 `frontier` walks the lattice points of hive polytopes: it fills the interior
-entries of a batch of boundary rows one at a time, in the antidiagonal scan
-order of `hive._scan_plan`.  The schedule comes as CSR lists of bound
+entries of a batch of boundary rows one at a time, in the scan order of the
+per-n rhombus plan `hive._plan`.  The schedule comes as CSR lists of bound
 triples per interior entry: (a, b, c) means entry >= E[a]+E[b]-E[c] (lower)
 or <= E[a]+E[b]-E[c] (upper), with every referenced slot filled earlier in
 the scan.  Callers keep every entry within +-2^60, so no bound reaches the
@@ -17,9 +17,10 @@ import numpy as np
 # numba is not used; perfbench's worker prints this in its environment line.
 HAVE_NUMBA = False
 
-#: Children a frontier layer materialises at once.  A wider layer is cut
-#: into pieces of this many children, finished depth-first one after the
-#: other, so memory stays O(K * FRONTIER_ROWS) rows whatever the count.
+#: Most children a frontier layer materialises at once.  A wider layer, or
+#: a single parent with a wider range, is cut into blocks of at most this
+#: many, finished depth-first one after the other, so memory stays
+#: O(K * FRONTIER_ROWS) rows whatever the widths.
 FRONTIER_ROWS = 1 << 14
 
 _SENTINEL = 1 << 62
@@ -46,32 +47,55 @@ def frontier(rows, iidx, lo_ptr, lo_abc, up_ptr, up_abc, ids=None,
     is counted from its widths and never materialised.
     """
     K = iidx.shape[0]
+    cap = FRONTIER_ROWS
     total = 0 if ids is None else np.zeros(int(ids.max()) + 1, np.int64)
     done = [rows[:0]]
-    # (k, parent rows, parent ids, child -> parent, value of entry k - 1)
-    stack = [(0, rows, ids, None, None)]
-    while stack and not (exists_only and total):
-        k, rows, ids, pick, value = stack.pop()
-        if pick is not None:
-            rows = rows[pick]
-            rows[:, iidx[k - 1]] = value
-            ids = None if ids is None else ids[pick]
+    # (k, rows, ids, lo, width, ends, p, o): the children for entry k of
+    # rows[p:] not yet made, the first taking value lo[p] + o; ends sums the
+    # widths capped at cap + 1, so it cannot wrap
+    stack = []
+    k = 0
+    while True:
         if k == K:
             total += rows.shape[0] if ids is None else np.bincount(
                 ids, minlength=total.shape[0])
             done.append(rows)
-            continue
-        lo, width = _layer(rows, k, lo_ptr, lo_abc, up_ptr, up_abc)
-        if k == K - 1 and not keep_rows:
-            # Python ints: a sum of int64 widths can wrap
-            total += sum(width.tolist()) if ids is None else np.bincount(
-                np.repeat(ids, width), minlength=total.shape[0])
-            continue
-        pick = np.repeat(np.arange(rows.shape[0]), width)
-        value = np.arange(pick.shape[0]) + (lo - np.cumsum(width) + width)[pick]
-        for s in reversed(range(0, pick.shape[0], FRONTIER_ROWS)):
-            stack.append((k + 1, rows, ids, pick[s:s + FRONTIER_ROWS],
-                          value[s:s + FRONTIER_ROWS]))
+        elif rows.shape[0]:
+            lo, width = _layer(rows, k, lo_ptr, lo_abc, up_ptr, up_abc)
+            if k == K - 1 and not keep_rows:
+                # Python ints: a sum of int64 widths can wrap
+                if ids is None:
+                    total += sum(width.tolist())
+                else:
+                    np.add.at(total, ids, width)
+            else:
+                ends = np.minimum(width, cap + 1).cumsum()
+                stack.append((k, rows, ids, lo, width, ends, 0, 0))
+        if not stack or (exists_only and total):
+            break
+        k, rows, ids, lo, width, ends, p, o = stack.pop()
+        if o or width[p] > cap:
+            # a parent wider than cap is cut into blocks of its own
+            size = min(int(width[p]) - o, cap)
+            pick = np.full(size, p)
+            value = np.arange(lo[p] + o, lo[p] + o + size)
+            nxt = (p, o + size) if o + size < width[p] else (p + 1, 0)
+        else:
+            # otherwise a block is the longest run of whole parents that fits
+            base = int(ends[p - 1]) if p else 0
+            m = int(np.searchsorted(ends, base + cap, side="right"))
+            take = width[p:m]
+            pick = np.repeat(np.arange(m - p), take)
+            value = np.arange(pick.shape[0]) + (lo[p:m] - ends[p:m] + base
+                                                + take)[pick]
+            pick += p
+            nxt = (m, 0)
+        if nxt[0] < width.shape[0]:
+            stack.append((k, rows, ids, lo, width, ends, *nxt))
+        rows = rows[pick]
+        rows[:, iidx[k]] = value
+        ids = None if ids is None else ids[pick]
+        k += 1
     if exists_only:
         return min(total, 1), None
     return total, np.concatenate(done) if keep_rows else None
@@ -91,9 +115,9 @@ def vertex_scan(coefs, consts, sub_rows, sub_adj, sub_det):
     Rows read coef.x + const >= 0.  For subset s with row list R, the unique
     solution of coef[R].x = -const[R] is x = (adj @ -const[R]) / det with
     det > 0, so x is integral iff det divides every numerator.  Only subsets
-    with det >= 2 are stored; everything stays well inside int64.  Returns -1
-    when no stored subset yields a feasible nonintegral solution.  Subsets
-    are scanned in chunks to bound memory.
+    with det >= 2 are stored; callers keep max|consts| under the limit of
+    `lift._vertex_plan`, so all stays inside int64.  Returns -1 when no
+    stored subset gives a feasible nonintegral point; chunks bound memory.
     """
     chunk = 1 << 14
     S = sub_rows.shape[0]

@@ -25,7 +25,7 @@ from .lift import find_nonintegral_vertex, largest_lift, make_weight_function
 from .oracles import transcribed_lr_count
 from .plane import DIRECTIONS, INF, PlanePoint, SegmentOrRay, frac
 from .reconstruct import overlay, prv_witness, reconstruct
-from .weights import BoundaryTriple, dominant_vectors
+from .weights import BoundaryTriple, boundary_grid, dominant_vectors
 
 SCALE = 40.0
 KIND_COLORS = {"Y": "#1b6ca8", "inverted-Y": "#48a14d", "crossing": "#888888",
@@ -263,15 +263,6 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _dominant_triples(n, bound):
-    lams = dominant_vectors(n, -bound, bound)
-    for lam in lams:
-        for mu in lams:
-            rest = -(sum(lam) + sum(mu))
-            for nu in dominant_vectors(n, -n * bound, n * bound, rest):
-                yield BoundaryTriple(lam, mu, nu)
-
-
 def cmd_saturate_check(args) -> int:
     n, factor = args.n, args.N
     if factor < 1:
@@ -288,7 +279,7 @@ def cmd_saturate_check(args) -> int:
             if nus:
                 triples.append(BoundaryTriple(lam, mu, rng.choice(nus)))
     else:
-        triples = _dominant_triples(n, args.max_entry)
+        triples = boundary_grid(n, args.max_entry, n * args.max_entry)
     checked = 0
     for t in triples:
         before = exists_lattice_hive(t)

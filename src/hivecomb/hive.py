@@ -16,7 +16,8 @@ length of one honeycomb edge.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,17 +89,75 @@ def _rhombus_at(p, s):
                     (p[0] + apex[1][0], p[1] + apex[1][1])))
 
 
+class _Plan(NamedTuple):
+    """The rhombus system of the size-n hive, laid out once.  Interior
+    entries come in scan order (antidiagonal rows from the zero corner): the
+    frontier's fill order and the variable order of the LP and vertex hunt.
+    """
+
+    rhombi: tuple  # every Rhombus, in scan order
+    walk: tuple  # flat indices of _walk(n)
+    scan: tuple  # (iidx, lo_ptr, lo_abc, up_ptr, up_abc) for _kernels.frontier
+    fixed: tuple  # boundary-only rhombi: flat (obtuse, obtuse, acute, acute)
+    quads: np.ndarray  # every rhombus: flat (obtuse, obtuse, acute, acute)
+    coefs: np.ndarray  # every rhombus: +1 obtuse, -1 acute, per interior entry
+
+
+def _walk(n):
+    """The boundary after (0, 0), clockwise: lambda side, mu side, nu side."""
+    return ([(i, 0) for i in range(1, n + 1)]
+            + [(n - s, s) for s in range(1, n + 1)]
+            + [(0, j) for j in range(n - 1, 0, -1)])
+
+
+def _csr(bounds):
+    """Per-entry lists of (a, b, c) entry triples as flat-index CSR arrays."""
+    ptr = np.cumsum([0] + [len(b) for b in bounds], dtype=np.int64)
+    abc = np.array([[_flat(*p) for p in triple] for b in bounds for triple in b],
+                   dtype=np.int64).reshape(-1, 3)
+    return ptr, abc
+
+
+@cache
+def _plan(n) -> _Plan:
+    """Each rhombus as a kernel bound on its last interior entry in scan
+    order (a fixed check when it has none) and as an LP row."""
+    order = hive_indices(n)
+    inside = set(order)
+    found = [r for r in (_rhombus_at(p, s) for p in order for s in _APEX)
+             if all(c in inside for c in r.corners)]
+    interior = tuple(HiveShape(n).interior())
+    ipos = {p: k for k, p in enumerate(interior)}
+    lower = [[] for _ in interior]
+    upper = [[] for _ in interior]
+    fixed = []
+    quads = [tuple(_flat(*c) for c in r.corners) for r in found]
+    coefs = np.zeros((len(found), len(interior)), dtype=np.int64)
+    for k, r in enumerate(found):
+        inter = [c for c in r.corners if c in ipos]
+        for c in inter:
+            coefs[k, ipos[c]] = 1 if c in r.obtuse else -1
+        if not inter:
+            fixed.append(quads[k])
+            continue
+        # the last corner set is bounded by the other three: below when it
+        # is obtuse, above when it is acute
+        last = max(inter, key=ipos.get)
+        pair, rest = ((r.obtuse, r.acute) if last in r.obtuse
+                      else (r.acute, r.obtuse))
+        bounds = lower if pair is r.obtuse else upper
+        bounds[ipos[last]].append((*rest, pair[pair[0] == last]))
+    # the antidiagonal scan always yields at least one bound on each side
+    assert all(lower) and all(upper), "unbounded interior entry in scan"
+    iidx = np.array([_flat(*p) for p in interior], dtype=np.int64)
+    return _Plan(tuple(found), tuple(_flat(*p) for p in _walk(n)),
+                 (iidx, *_csr(lower), *_csr(upper)), tuple(fixed),
+                 np.array(quads, dtype=np.int64).reshape(-1, 4), coefs)
+
+
 def rhombi(shape):
     """Every pair of edge-adjacent small triangles, in scan order."""
-    n = shape.n if isinstance(shape, HiveShape) else int(shape)
-    inside = set(hive_indices(n))
-    out = []
-    for p in hive_indices(n):
-        for s in ((0, 1), (1, 0), (1, -1)):
-            r = _rhombus_at(p, s)
-            if all(c in inside for c in r.corners):
-                out.append(r)
-    return out
+    return _plan(shape.n if isinstance(shape, HiveShape) else int(shape)).rhombi
 
 
 class Hive:
@@ -175,27 +234,8 @@ def rhombus_value(H: Hive, r: Rhombus) -> Fraction:
 
 def boundary_from_weights(t: BoundaryTriple) -> dict:
     """Boundary entries as partial sums along the clockwise walk."""
-    n = t.n
-    out = {(0, 0): Fraction(0)}
-    run = Fraction(0)
-    for i in range(1, n + 1):
-        run += t.lam[i - 1]
-        out[(i, 0)] = run
-    for s in range(1, n + 1):
-        run += t.mu[s - 1]
-        out[(n - s, s)] = run
-    for j in range(n - 1, 0, -1):
-        # walking back up the nu side: H(0,j-1) - H(0,j) = nu_{n-j+1}
-        run += t.nu[n - j - 1]
-        out[(0, j)] = run
-    return out
-
-
-def _hive_from_parts(n, boundary, interior) -> Hive:
-    ent = []
-    for p in hive_indices(n):
-        ent.append(boundary[p] if p in boundary else interior[p])
-    return Hive(n, ent)
+    steps = t.lam + t.mu + t.nu[:-1]
+    return {(0, 0): Fraction(0), **dict(zip(_walk(t.n), accumulate(steps)))}
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +263,9 @@ def _gl_size(census):
 
 def hive_to_honeycomb(H: Hive) -> Honeycomb:
     """Place every tau_n vertex using differences of surrounding entries."""
-    for r in rhombi(H.n):
-        v = rhombus_value(H, r)
-        if v < 0:
-            raise RhombusViolation(r, v)
+    bad = H.first_violation()
+    if bad is not None:
+        raise RhombusViolation(bad, rhombus_value(H, bad))
     n = H.n
     t = build_gl_tinkertoy(n)
     at_root = {root_of(n, i, j): H.value(i, j) for i, j in hive_indices(n)}
@@ -293,64 +332,8 @@ def honeycomb_to_hive(h: Honeycomb) -> Hive:
 # ---------------------------------------------------------------------------
 # counting and enumeration
 
-@cache
-def _scan_plan(n):
-    """Constraint schedule: each rhombus fires when its last entry is set."""
-    order = hive_indices(n)
-    pos = {p: k for k, p in enumerate(order)}
-    interior = HiveShape(n).interior()
-    ipos = {p: k for k, p in enumerate(interior)}
-    lower = [[] for _ in interior]
-    upper = [[] for _ in interior]
-    fixed = []
-    for r in rhombi(n):
-        inter = [c for c in r.corners if c in ipos]
-        if not inter:
-            fixed.append(r)
-            continue
-        last = max(inter, key=lambda c: pos[c])
-        k = ipos[last]
-        if last in r.obtuse:
-            other = r.obtuse[1] if last == r.obtuse[0] else r.obtuse[0]
-            lower[k].append((r.acute[0], r.acute[1], other))
-        else:
-            other = r.acute[1] if last == r.acute[0] else r.acute[0]
-            upper[k].append((r.obtuse[0], r.obtuse[1], other))
-    # the antidiagonal scan always yields at least one bound on each side
-    assert all(lower) and all(upper), "unbounded interior entry in scan"
-    return interior, lower, upper, fixed
-
-
-@cache
-def _kernel_plan(n):
-    interior, lower, upper, _ = _scan_plan(n)
-    iidx = np.array([_flat(i, j) for i, j in interior], dtype=np.int64)
-    if not interior:
-        iidx = iidx.reshape(0)
-
-    def csr(rows):
-        ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        flatrows = []
-        for k, row in enumerate(rows):
-            ptr[k + 1] = ptr[k] + len(row)
-            flatrows.extend(row)
-        abc = np.array([[_flat(*a), _flat(*b), _flat(*c)] for a, b, c in flatrows],
-                       dtype=np.int64).reshape(len(flatrows), 3)
-        return ptr, abc
-
-    lo_ptr, lo_abc = csr(lower)
-    up_ptr, up_abc = csr(upper)
-    return iidx, lo_ptr, lo_abc, up_ptr, up_abc
-
-
 #: Bound on |entry| for every row the kernel scan builds; see _kernel_row.
 _ENTRY_LIMIT = 1 << 60
-
-
-def _integral_boundary(t: BoundaryTriple) -> dict:
-    if not t.integral:
-        raise ValueError("counting needs an integral boundary")
-    return boundary_from_weights(t)
 
 
 def _twist_shift(t: BoundaryTriple) -> list:
@@ -361,12 +344,15 @@ def _twist_shift(t: BoundaryTriple) -> list:
     return [a * i + (a + b) * j for i, j in hive_indices(t.n)]
 
 
-def _kernel_row(t: BoundaryTriple, boundary) -> np.ndarray:
-    """The boundary of t twisted by (-lam_n, -mu_n), as an int64 kernel row.
+def _kernel_row(t: BoundaryTriple):
+    """The boundary of t twisted by (-lam_n, -mu_n), as an int64 kernel row
+    with zero interior, or None when a boundary-only rhombus is negative
+    (then no hive, integral or not, has this boundary).
 
-    The twist makes entry sizes depend on the spread of the weights, not on
-    their size.  The scan bounds interior entry (i, j) above by
-    H(i-1,j) + H(i,j-1) - H(i-1,j-1) and below by
+    The row is the clockwise walk over the twisted weights, summed in
+    Python ints.  The twist makes entry sizes depend on the spread of the
+    weights, not on their size.  The scan bounds interior entry (i, j) above
+    by H(i-1,j) + H(i,j-1) - H(i-1,j-1) and below by
     H(i+1,j-1) + H(i-1,j) - H(i,j-1), so its step H(i,j) - H(i-1,j) lies
     between the steps at (i+1,j-1) and (i,j-1); by induction on j, every
     step lies in [lam_n, lam_1], which the twist moves to [0, lam_1 - lam_n].
@@ -375,23 +361,24 @@ def _kernel_row(t: BoundaryTriple, boundary) -> np.ndarray:
     3B and every width within 6B + 1.  B <= 2^60 keeps these inside the
     +-2^62 sentinels and int64; past it this raises OverflowError.
     """
-    shift = _twist_shift(t)
-    row = [0] * len(shift)
-    for p, v in boundary.items():
-        k = _flat(*p)
-        row[k] = int(v) - shift[k]
-    bound = max(map(abs, row)) + max(t.n - 2, 0) * int(t.lam[0] - t.lam[-1])
+    if not t.integral:
+        raise ValueError("the hive kernels need an integral boundary")
+    plan = _plan(t.n)
+    lam, mu, nu = ([x.numerator for x in w] for w in (t.lam, t.mu, t.nu))
+    a, b = lam[-1], mu[-1]
+    row = [0] * HiveShape(t.n).size
+    steps = ([x - a for x in lam] + [x - b for x in mu]
+             + [x + a + b for x in nu[:-1]])
+    for k, v in zip(plan.walk, accumulate(steps)):
+        row[k] = v
+    for o1, o2, a1, a2 in plan.fixed:
+        if row[o1] + row[o2] - row[a1] - row[a2] < 0:
+            return None
+    bound = max(map(abs, row)) + max(t.n - 2, 0) * (lam[0] - a)
     if bound > _ENTRY_LIMIT:
         raise OverflowError(f"hive entries up to {bound} do not fit the int64 "
                             f"kernels (limit 2^60)")
     return np.array(row, dtype=np.int64)
-
-
-def _fixed_rhombi_ok(n, boundary) -> bool:
-    _, _, _, fixed = _scan_plan(n)
-    return all(boundary[r.obtuse[0]] + boundary[r.obtuse[1]]
-               - boundary[r.acute[0]] - boundary[r.acute[1]] >= 0
-               for r in fixed)
 
 
 def count_lattice_hives(t: BoundaryTriple) -> int:
@@ -400,30 +387,28 @@ def count_lattice_hives(t: BoundaryTriple) -> int:
     The frontier kernel walks the boundary twisted to lam_n = mu_n = 0 in
     bounded memory; OverflowError when the weights spread past 2^60.
     """
-    boundary = _integral_boundary(t)
-    if not _fixed_rhombi_ok(t.n, boundary):
+    row = _kernel_row(t)
+    if row is None:
         return 0
-    return int(_kernels.count_assignments(_kernel_row(t, boundary),
-                                          *_kernel_plan(t.n)))
+    return int(_kernels.count_assignments(row, *_plan(t.n).scan))
 
 
 def exists_lattice_hive(t: BoundaryTriple) -> bool:
     """Whether count_lattice_hives(t) >= 1, stopping at the first witness."""
-    boundary = _integral_boundary(t)
-    if not _fixed_rhombi_ok(t.n, boundary):
+    row = _kernel_row(t)
+    if row is None:
         return False
-    return bool(_kernels.count_assignments(_kernel_row(t, boundary),
-                                           *_kernel_plan(t.n),
+    return bool(_kernels.count_assignments(row, *_plan(t.n).scan,
                                            exists_only=True))
 
 
 def enumerate_lattice_hives(t: BoundaryTriple):
     """The witnesses behind count_lattice_hives, sorted lexicographically."""
-    boundary = _integral_boundary(t)
-    if not _fixed_rhombi_ok(t.n, boundary):
+    row = _kernel_row(t)
+    if row is None:
         return []
-    _, rows = _kernels.frontier(_kernel_row(t, boundary)[np.newaxis, :],
-                                *_kernel_plan(t.n), keep_rows=True)
+    _, rows = _kernels.frontier(row[np.newaxis, :], *_plan(t.n).scan,
+                                keep_rows=True)
     shift = _twist_shift(t)
     return [Hive(t.n, [v + s for v, s in zip(row, shift)])
             for row in rows.tolist()]
@@ -447,14 +432,13 @@ def decompose_tensor_product(lam, mu) -> dict:
     total = int(sum(lam) + sum(mu))
     sigmas, rows = [], []
     for sigma in dominant_vectors(n, lo, hi, total):
-        t = BoundaryTriple(lam, mu, sigma_to_nu(sigma))
-        boundary = boundary_from_weights(t)
-        if _fixed_rhombi_ok(n, boundary):
+        row = _kernel_row(BoundaryTriple(lam, mu, sigma_to_nu(sigma)))
+        if row is not None:
             sigmas.append(sigma)
-            rows.append(_kernel_row(t, boundary))
+            rows.append(row)
     if not rows:
         return {}
-    counts, _ = _kernels.frontier(np.stack(rows), *_kernel_plan(n),
+    counts, _ = _kernels.frontier(np.stack(rows), *_plan(n).scan,
                                   ids=np.arange(len(rows)))
     return {s: int(c) for s, c in zip(sigmas, counts) if c}
 

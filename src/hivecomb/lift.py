@@ -28,14 +28,14 @@ from . import _kernels
 from .diagram import diagram
 from .errors import (DegenerateOptimum, HasCycle, NotDegenerate,
                      NotSimplyDegenerate, RhombusViolation)
-from .hive import (Hive, HiveShape, _hive_from_parts, _rhombus_at,
-                   boundary_from_weights, hive_indices, hive_to_honeycomb,
-                   rhombi, rhombus_value, root_of)
+from .hive import (Hive, HiveShape, _kernel_row, _plan, _rhombus_at,
+                   _twist_shift, boundary_from_weights, hive_indices,
+                   hive_to_honeycomb, rhombi, rhombus_value, root_of)
 from .honeycomb import build_tinkertoy_from_type, dual_graph
 from .plane import DIRECTION_ORDER, frac
 from .reconstruct import elide
 from .simplex import maximize
-from .weights import BoundaryTriple, dominant_vectors
+from .weights import BoundaryTriple, boundary_grid
 
 log = logging.getLogger(__name__)
 
@@ -313,31 +313,15 @@ def molt_regions(m, v) -> frozenset:
 # the LP over a hive polytope
 
 
-@cache
-def _row_plan(n):
-    """Rhombus rows split into interior coefficients and boundary picks."""
-    inter = sorted(HiveShape(n).interior())
-    pos = {p: i for i, p in enumerate(inter)}
-    bpts = [p for p in hive_indices(n) if p not in pos]
-    bpos = {p: i for i, p in enumerate(bpts)}
-    rows = []
-    for r in rhombi(n):
-        coef = [0] * len(inter)
-        bnd = [0] * len(bpts)
-        for p in r.obtuse:
-            (coef if p in pos else bnd)[pos.get(p, bpos.get(p))] += 1
-        for p in r.acute:
-            (coef if p in pos else bnd)[pos.get(p, bpos.get(p))] -= 1
-        rows.append((tuple(coef), tuple(bnd)))
-    return tuple(inter), tuple(bpts), tuple(rows)
-
-
 def _lp_rows(t: BoundaryTriple):
-    inter, bpts, rows = _row_plan(t.n)
+    """Interior entries (the LP variables), the boundary and the rhombus
+    rows of t as (coefficients, constant)."""
+    plan = _plan(t.n)
     bvals = boundary_from_weights(t)
-    out = [(coef, sum(c * bvals[p] for c, p in zip(bnd, bpts) if c))
-           for coef, bnd in rows]
-    return inter, bvals, out
+    b = [bvals.get(p, 0) for p in hive_indices(t.n)]
+    rows = [(coef, b[o1] + b[o2] - b[a1] - b[a2]) for coef, (o1, o2, a1, a2)
+            in zip(plan.coefs.tolist(), plan.quads.tolist())]
+    return HiveShape(t.n).interior(), bvals, rows
 
 
 @dataclass(frozen=True)
@@ -373,7 +357,8 @@ def lp_maximize(objective: ObjectiveVector, t: BoundaryTriple) -> LPOutcome:
     inter, bvals, rows = _lp_rows(t)
     c = [objective.coeffs[p] for p in inter]
     sol = maximize(c, rows)
-    hive = _hive_from_parts(n, bvals, dict(zip(inter, sol.x)))
+    entries = {**bvals, **dict(zip(inter, sol.x))}
+    hive = Hive(n, [entries[p] for p in hive_indices(n)])
     value = sol.value + sum(objective.coeffs[p] * v for p, v in bvals.items())
     ties = []
     if not sol.unique:
@@ -513,24 +498,30 @@ def forest_solve(t: BoundaryTriple, forest) -> dict:
 
 @cache
 def _vertex_plan(n):
-    """Constraint arrays plus all tight subsets that can go off-lattice.
+    """Rhombus rows as arrays plus all tight subsets that can go off-lattice.
 
-    Subsets of k independent rows are precomputed with integer adjugates and
-    determinants (sign-normalized positive); those with det 1 can only give
-    integral solutions and are dropped.  Determinants come from float
-    batches but are verified exactly in integers before use.
+    Returns (coefs, sub_rows, sub_adj, sub_det, const_limit).  Rhombus r
+    reads coefs[r].x + consts[r] >= 0 for the interior entries x in scan
+    order, with consts = E[quads] @ (1, 1, -1, -1) for the plan's rhombus
+    corners and a kernel row E.  Subsets of k independent rows are
+    precomputed with integer adjugates and determinants (sign-normalized
+    positive); those with det 1 can only give integral solutions and are
+    dropped.  Determinants come from float batches but are verified exactly
+    in integers before use.
+
+    const_limit bounds max|consts| for `_kernels.vertex_scan`: with at most
+    4 nonzero +-1 coefficients per row, every numerator adj @ -consts is
+    within k*A*C and every tested value coef.numer + det*const within
+    (4*k*A + D)*C, for A the largest |adjugate| entry, D the largest det and
+    C = max|consts|.  C <= const_limit keeps all of them inside int64.
     """
-    inter, bpts, rows = _row_plan(n)
-    k = len(inter)
-    coefs = np.array([r[0] for r in rows], np.int64)
-    bmat = np.array([r[1] for r in rows], np.int64)
-    empty = (np.empty((0, k), np.int32), np.empty((0, k, k), np.int32),
-             np.empty(0, np.int64))
-    if k == 0:
-        return inter, bpts, coefs, bmat, *empty
-    var_rows = [i for i in range(len(rows)) if coefs[i].any()]
+    plan = _plan(n)
+    coefs = plan.coefs
+    k = coefs.shape[1]
+    var_rows = [i for i in range(len(coefs)) if coefs[i].any()]
     subs = np.array(list(itertools.combinations(var_rows, k)), np.int32)
-    kept_rows, kept_adj, kept_det = [], [], []
+    kept = [(np.empty((0, k), np.int32), np.empty((0, k, k), np.int32),
+             np.empty(0, np.int64))]
     for lo in range(0, len(subs), 1 << 16):
         chunk = subs[lo:lo + (1 << 16)]
         mats = coefs[chunk]
@@ -545,22 +536,11 @@ def _vertex_plan(n):
         dets, adj = dets * sign, adj * sign[:, None, None]
         ident = dets[:, None, None] * np.eye(k, dtype=np.int64)
         assert (np.einsum("sij,sjk->sik", mats, adj) == ident).all()
-        kept_rows.append(chunk)
-        kept_adj.append(adj.astype(np.int32))
-        kept_det.append(dets)
-    if not kept_rows:
-        return inter, bpts, coefs, bmat, *empty
-    return (inter, bpts, coefs, bmat, np.concatenate(kept_rows),
-            np.concatenate(kept_adj), np.concatenate(kept_det))
-
-
-def _boundary_grid(n, bound):
-    doms = list(dominant_vectors(n, -bound, bound))
-    for lam in doms:
-        for mu in doms:
-            s = sum(lam) + sum(mu)
-            for nu in dominant_vectors(n, -bound, bound, total=-s):
-                yield BoundaryTriple(lam, mu, nu)
+        kept.append((chunk, adj.astype(np.int32), dets))
+    sub_rows, sub_adj, sub_det = map(np.concatenate, zip(*kept))
+    spread = 4 * k * int(np.abs(sub_adj).max(initial=0)) + int(sub_det.max(
+        initial=1))
+    return coefs, sub_rows, sub_adj, sub_det, ((1 << 63) - 1) // spread
 
 
 def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,
@@ -569,34 +549,41 @@ def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,
 
     Scans integral boundary triples with all entries in [-entry_bound,
     entry_bound] in lexicographic order (or shuffled by seed, or the given
-    boundaries), checking every basic solution of every boundary's polytope.
-    Hits are re-verified in exact arithmetic before being returned as a
-    (boundary, hive) pair; None certifies no such vertex exists in range.
+    boundaries), checking every basic solution of every boundary's polytope
+    on its kernel row (the boundary twisted to lam_n = mu_n = 0; the twist
+    is added back to a hit).  Hits are re-verified in exact arithmetic
+    before being returned as a (boundary, hive) pair; None certifies no such
+    vertex exists in range.  OverflowError when a boundary's rhombus
+    constants are too large for the int64 scan.
     """
-    plan = _vertex_plan(n)
-    inter, bpts, coefs, bmat, sub_rows, sub_adj, sub_det = plan
+    coefs, sub_rows, sub_adj, sub_det, const_limit = _vertex_plan(n)
     if len(sub_det) == 0:
         return None
     if boundaries is None:
-        boundaries = _boundary_grid(n, entry_bound)
+        boundaries = boundary_grid(n, entry_bound, entry_bound)
         if seed is not None:
             boundaries = list(boundaries)
             random.Random(seed).shuffle(boundaries)
+    plan = _plan(n)
     for count, t in enumerate(boundaries):
         if limit is not None and count >= limit:
             break
-        bvals = boundary_from_weights(t)
-        assert all(v.denominator == 1 for v in bvals.values())
-        consts = bmat @ np.array([int(bvals[p]) for p in bpts], np.int64)
+        row = _kernel_row(t)
+        if row is None:
+            continue  # a negative boundary-only rhombus: empty polytope
+        consts = row[plan.quads] @ np.array([1, 1, -1, -1])
+        big = int(np.abs(consts).max())
+        if big > const_limit:
+            raise OverflowError(f"rhombus constants up to {big} do not fit "
+                                f"the int64 vertex scan (limit {const_limit})")
         s = _kernels.vertex_scan(coefs, consts, sub_rows, sub_adj, sub_det)
         if s < 0:
             continue
-        det = int(sub_det[s])
-        numers = [-sum(int(sub_adj[s, i, j]) * int(consts[sub_rows[s, j]])
-                       for j in range(len(inter)))
-                  for i in range(len(inter))]
-        point = {p: Fraction(numers[i], det) for i, p in enumerate(inter)}
-        hive = _hive_from_parts(n, bvals, point)
+        numer = -(sub_adj[s].astype(np.int64) @ consts[sub_rows[s]])
+        entries = row.tolist()
+        for k, v in zip(plan.scan[0].tolist(), numer.tolist()):
+            entries[k] = Fraction(v, int(sub_det[s]))
+        hive = Hive(n, [v + d for v, d in zip(entries, _twist_shift(t))])
         assert hive.is_valid and not hive.is_integral
         assert hive.boundary_triple() == t
         return t, hive

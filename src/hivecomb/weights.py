@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import NotDominant, ZeroSumViolation
 from .plane import frac
@@ -115,3 +116,13 @@ def dominant_vectors(n: int, lo: int, hi: int, total=None):
 
     rec([], hi, n)
     return out
+
+
+def boundary_grid(n: int, bound: int, nu_bound: int):
+    """Every zero-sum dominant integer triple with lambda and mu entries in
+    [-bound, bound] and nu entries in [-nu_bound, nu_bound], lambda, then
+    mu, then nu in decreasing lexicographic order."""
+    for lam, mu in product(dominant_vectors(n, -bound, bound), repeat=2):
+        rest = -(sum(lam) + sum(mu))
+        for nu in dominant_vectors(n, -nu_bound, nu_bound, rest):
+            yield BoundaryTriple(lam, mu, nu)

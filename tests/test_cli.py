@@ -288,6 +288,12 @@ class TestSaturateCheck:
         assert code == 0
         assert "scale-invariant" in out
 
+    def test_grid_nu_range(self):
+        """The grid lets nu reach n times the entry bound."""
+        code, out, _ = run("saturate-check", "-n", "2", "--max-entry", "2")
+        assert code == 0
+        assert "checked 795 triples" in out
+
     def test_sampled(self):
         code, out, _ = run("saturate-check", "-n", "4", "--samples", "25",
                            "--N", "3", "--seed", "1")

@@ -19,7 +19,7 @@ from hivecomb import (BoundaryTriple, Hive, HiveShape, RhombusViolation,
                       rhombus_value, sigma_to_nu)
 from hivecomb.hive import hive_index_of, root_of
 from hivecomb import _kernels
-from hivecomb.hive import _flat, _fixed_rhombi_ok, _kernel_plan
+from hivecomb.hive import _flat, _plan
 from kernel_reference import count_dfs
 
 ADJ = BoundaryTriple((2, 1, 0), (2, 1, 0), (-1, -2, -3))
@@ -50,13 +50,13 @@ def random_hive(rng, n, span=5):
 
 def dfs_count(t, exists_only=False):
     """Reference count: the plain DFS on t's untwisted boundary."""
-    boundary = boundary_from_weights(t)
-    if not _fixed_rhombi_ok(t.n, boundary):
-        return 0
+    plan = _plan(t.n)
     row = np.zeros(HiveShape(t.n).size, np.int64)
-    for p, v in boundary.items():
+    for p, v in boundary_from_weights(t).items():
         row[_flat(*p)] = int(v)
-    return int(count_dfs(row, *_kernel_plan(t.n), exists_only))
+    if any(row[a] + row[b] - row[c] - row[d] < 0 for a, b, c, d in plan.fixed):
+        return 0
+    return int(count_dfs(row, *plan.scan, exists_only))
 
 
 class TestShape:
@@ -260,6 +260,21 @@ class TestCounting:
         finally:
             tracemalloc.stop()
         assert count == 1337644
+        assert peak < 50 * 2 ** 20
+
+    @pytest.mark.parametrize("N", [2 ** 24, 2 ** 40])
+    def test_wide_parent_bounded_memory(self, N):
+        """An entry whose range is far wider than memory is expanded a
+        block at a time, not materialised as one child index."""
+        t = BoundaryTriple((2 * N, N, 0, 0), (2 * N, N, 0, 0),
+                           (0, -N, -2 * N, -3 * N))
+        tracemalloc.start()
+        try:
+            found = exists_lattice_hive(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found
         assert peak < 50 * 2 ** 20
 
 

@@ -22,7 +22,8 @@ from hivecomb.oracles import enumerate_polytope_vertices
 from hivecomb.reconstruct import HalfEdge, PostElisionGraph
 from hivecomb import _kernels
 from hivecomb import lift as lift_module
-from hivecomb.lift import _boundary_grid, _lp_rows, _vertex_plan
+from hivecomb.lift import _lp_rows, _vertex_plan
+from hivecomb.weights import boundary_grid
 from hivecomb.simplex import maximize
 from kernel_reference import vertex_scan_loop
 
@@ -491,6 +492,30 @@ class TestNonintegralVertex:
         with pytest.raises(NotSimplyDegenerate):
             elide(dg)
 
+    @pytest.mark.parametrize("e", [58, 60, 61, 70])
+    def test_witness_huge_twist(self, e):
+        """The scan runs on the twisted-back kernel row, so twists past
+        int64 find the same vertex, moved by the twist."""
+        t = WITNESS.twisted(2 ** e, -(2 ** e))
+        got = find_nonintegral_vertex(5, 2, boundaries=[t])
+        assert got is not None and got[0] == t
+        moved = [v + 2 ** e * i for v, (i, _) in
+                 zip(WITNESS_ENTRIES, hive_indices(5))]
+        assert entries(got[1]) == moved
+
+    def test_vertex_scan_range_check(self):
+        """Rhombus constants past the derived int64 limit raise instead of
+        wrapping inside vertex_scan."""
+        with pytest.raises(OverflowError, match="vertex scan"):
+            find_nonintegral_vertex(5, 2, boundaries=[WITNESS.scaled(2 ** 52)])
+
+    def test_boundary_grid(self):
+        grid = list(boundary_grid(3, 2, 2))
+        assert len(list(boundary_grid(2, 2, 2))) == 351 and len(grid) == 3413
+        assert all(max(map(abs, t.lam + t.mu + t.nu)) <= 2 for t in grid)
+        assert grid == sorted(grid, key=lambda t: (t.lam, t.mu, t.nu),
+                              reverse=True)
+
     def test_deterministic(self):
         a = find_nonintegral_vertex(4, 1, seed=3, limit=500)
         b = find_nonintegral_vertex(4, 1, seed=3, limit=500)
@@ -503,12 +528,15 @@ class TestKernelParity:
 
         import numpy as np
 
-        from hivecomb.hive import boundary_from_weights
-        _, bpts, coefs, bmat, sub_rows, sub_adj, sub_det = _vertex_plan(5)
-        picks = list(itertools.islice(_boundary_grid(5, 2), 6)) + [WITNESS]
+        from hivecomb.hive import _flat, _plan, boundary_from_weights
+        coefs, sub_rows, sub_adj, sub_det, _ = _vertex_plan(5)
+        quads = _plan(5).quads
+        picks = list(itertools.islice(boundary_grid(5, 2, 2), 6)) + [WITNESS]
         for t in picks:
-            bvals = boundary_from_weights(t)
-            consts = bmat @ np.array([int(bvals[p]) for p in bpts], np.int64)
+            row = np.zeros(21, np.int64)
+            for p, v in boundary_from_weights(t).items():
+                row[_flat(*p)] = int(v)
+            consts = row[quads] @ np.array([1, 1, -1, -1])
             args = (coefs, consts, sub_rows, sub_adj, sub_det)
             got = _kernels.vertex_scan(*args)
             assert got == vertex_scan_loop(*args)
