@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotADiagram, TensionViolation, UnknownPattern
 from .honeycomb import Honeycomb, Tinkertoy
 from .plane import (AXIS_POSITIVE, DIRECTION_ORDER, INF, Direction,
-                    PlanePoint, SegmentOrRay, constant_coordinate, frac)
+                    PlanePoint, SegmentOrRay, constant_coordinate, coord)
 
 #: Vertex kinds in increasing ray count.
 VERTEX_KINDS = ("Y", "inverted-Y", "crossing", "rake", "5-valent", "6-valent")
@@ -40,7 +39,7 @@ def classify_vertex(mults) -> str:
     not balance and UnknownPattern for a balanced pattern that matches none
     of the six shapes (which cannot happen for nonnegative multiplicities).
     """
-    m = tuple(frac(x) for x in mults)
+    m = tuple(coord(x) for x in mults)
     if len(m) != 6 or any(x < 0 for x in m):
         raise ValueError("need six nonnegative multiplicities")
     t = tension(m)
@@ -72,10 +71,10 @@ class DiagramVertex:
     """A point of a diagram where at least three rays carry measure."""
 
     location: PlanePoint
-    mults: tuple  # six Fractions, DIRECTION_ORDER
+    mults: tuple  # six exact multiplicities (see plane.coord), DIRECTION_ORDER
     kind: str
 
-    def multiplicity(self, d: Direction) -> Fraction:
+    def multiplicity(self, d: Direction):
         return self.mults[DIRECTION_ORDER.index(d)]
 
     def __repr__(self):
@@ -111,14 +110,15 @@ class _LineProfile:
         self.breakpoints = sorted(cuts)
         # mult of elementary interval i = (breakpoints[i-1], breakpoints[i]),
         # with i = 0 and i = len(breakpoints) unbounded
-        self.mults = [Fraction(0)] * (len(self.breakpoints) + 1)
+        mults = [0] * (len(self.breakpoints) + 1)
         for s in pieces:
             lo, hi = s.interval()
             a = 0 if lo is None else bisect_left(self.breakpoints, lo) + 1
-            b = (len(self.mults) if hi is None
+            b = (len(mults) if hi is None
                  else bisect_left(self.breakpoints, hi) + 1)
             for i in range(a, b):
-                self.mults[i] += s.multiplicity
+                mults[i] += s.multiplicity
+        self.mults = [coord(m) for m in mults]
 
     def point(self, t) -> PlanePoint:
         coords = [None, None, None]
@@ -128,21 +128,27 @@ class _LineProfile:
         coords[3 - self.axis - d.param_axis] = -self.constant - t
         return PlanePoint(*coords)
 
-    def mult_beside(self, t, side: int) -> Fraction:
+    def mult_beside(self, t, side: int):
         """Multiplicity immediately above (side=+1) or below (side=-1) t."""
         if side > 0:
             return self.mults[bisect_right(self.breakpoints, t)]
         return self.mults[bisect_left(self.breakpoints, t)]
 
 
+#: (constant axis, parameter axis, orientation) of each ray, census order.
+_RAY_AXES = tuple((d.constant_axis, d.param_axis, d.orientation)
+                  for d in DIRECTION_ORDER)
+
+
 def _mults_at(profiles, p: PlanePoint):
+    coords = p.coords()
     out = []
-    for d in DIRECTION_ORDER:
-        prof = profiles.get((d.constant_axis, p[d.constant_axis]))
+    for axis, param, orientation in _RAY_AXES:
+        prof = profiles.get((axis, coords[axis]))
         if prof is None:
-            out.append(Fraction(0))
+            out.append(0)
         else:
-            out.append(prof.mult_beside(p[d.param_axis], d.orientation))
+            out.append(prof.mult_beside(coords[param], orientation))
     return tuple(out)
 
 
@@ -160,7 +166,7 @@ class Diagram:
 
     def ray_census(self):
         """Total multiplicity of infinite rays per direction, census order."""
-        out = [Fraction(0)] * 6
+        out = [0] * 6
         for s in self.segments:
             if s.is_ray:
                 out[DIRECTION_ORDER.index(s.direction)] += s.multiplicity
@@ -180,7 +186,7 @@ class Diagram:
         return None
 
     def translate(self, vec) -> "Diagram":
-        vec = tuple(frac(c) for c in vec)
+        vec = tuple(coord(c) for c in vec)
         moved = [SegmentOrRay(s.base.translate(vec), s.direction, s.length,
                               s.multiplicity) for s in self.segments]
         return canonical_diagram(moved)

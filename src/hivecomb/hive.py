@@ -25,7 +25,7 @@ from . import _kernels
 from .errors import RhombusViolation
 from .honeycomb import (EDGE_DIRS, Honeycomb, build_gl_tinkertoy, dual_graph,
                         is_head, validate_configuration)
-from .plane import frac, perp_step
+from .plane import coord, frac, perp_step
 from .weights import (BoundaryTriple, as_weight, dominant_vectors, is_integral,
                       sigma_to_nu)
 
@@ -268,7 +268,10 @@ def hive_to_honeycomb(H: Hive) -> Honeycomb:
         raise RhombusViolation(bad, rhombus_value(H, bad))
     n = H.n
     t = build_gl_tinkertoy(n)
-    at_root = {root_of(n, i, j): H.value(i, j) for i, j in hive_indices(n)}
+    # integral entries, as in every largest lift over an integral regular
+    # boundary, go in as ints, so the honeycomb is built in int arithmetic
+    at_root = {root_of(n, i, j): coord(H.value(i, j))
+               for i, j in hive_indices(n)}
     pos = {}
     for v in t.sorted_vertices:
         sign = 1 if is_head(v) else -1

@@ -11,12 +11,11 @@ length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DirectionViolation, TypeDoesNotClose
 from .plane import (AXIS_POSITIVE, DIRECTION_ORDER, E, NW, SW, Direction,
-                    PlanePoint, frac, perp_step)
+                    PlanePoint, coord, perp_step)
 from .weights import BoundaryTriple
 
 #: Edge directions, tail to head.
@@ -299,6 +298,9 @@ def build_tinkertoy_from_type(census) -> Tinkertoy:
 class Honeycomb:
     """A configuration of a tinkertoy: exact positions for every vertex.
 
+    Positions and edge lengths are ints where integral, Fractions otherwise
+    (see plane.coord).
+
     Construct through validate_configuration so the direction and
     nonnegative-length constraints are always checked.
     """
@@ -315,10 +317,10 @@ class Honeycomb:
     def positions(self):
         return dict(self._pos)
 
-    def edge_length(self, e: Edge) -> Fraction:
+    def edge_length(self, e: Edge):
         return self._lengths[e]
 
-    def edge_constant(self, e: Edge) -> Fraction:
+    def edge_constant(self, e: Edge):
         """The constant coordinate of an edge in this configuration."""
         return self._pos[e.anchor][e.direction.constant_axis]
 
@@ -345,7 +347,7 @@ class Honeycomb:
                    for c in p.coords())
 
     def translate(self, vec) -> "Honeycomb":
-        vec = tuple(frac(c) for c in vec)
+        vec = tuple(coord(c) for c in vec)
         pos = {v: p.translate(vec) for v, p in self._pos.items()}
         return Honeycomb(self.tinkertoy, pos, dict(self._lengths))
 
@@ -377,7 +379,8 @@ def validate_configuration(tinkertoy: Tinkertoy, positions) -> Honeycomb:
     """Check a position map and wrap it as a Honeycomb.
 
     Each two-ended edge's displacement must be a nonnegative multiple of its
-    direction; DirectionViolation names the first edge that fails.
+    direction; DirectionViolation names the first edge that fails.  Lengths
+    are exact like the coordinates: ints on integral positions.
     """
     pos = {}
     for v in tinkertoy.sorted_vertices:
@@ -391,7 +394,7 @@ def validate_configuration(tinkertoy: Tinkertoy, positions) -> Honeycomb:
         delta = (b.x - a.x, b.y - a.y, b.z - a.z)
         step = e.direction.step
         pivot = next(i for i in range(3) if step[i] != 0)
-        t = frac(delta[pivot]) / step[pivot]
+        t = coord(delta[pivot] * step[pivot])  # step entries are +-1
         if any(delta[i] != t * step[i] for i in range(3)):
             raise DirectionViolation(e, f"displacement {delta} is off-axis")
         if t < 0:

@@ -17,17 +17,18 @@ scan for hive-polytope vertices with nonintegral coordinates.
 
 import itertools
 import logging
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from . import _kernels
 from .diagram import diagram
 from .errors import (DegenerateOptimum, HasCycle, NotDegenerate,
-                     NotSimplyDegenerate, RhombusViolation)
+                     NotSimplyDegenerate, RhombusViolation, TooLarge)
 from .hive import (Hive, HiveShape, _kernel_row, _plan, _rhombus_at,
                    _twist_shift, boundary_from_weights, hive_indices,
                    hive_to_honeycomb, rhombi, rhombus_value, root_of)
@@ -56,7 +57,9 @@ class WeightFunction:
 
     Hexagons are the interior entries; everywhere else the weight is zero.
     Construction verifies positivity and strict superharmonicity, w(p) >
-    (1/6) sum of the six neighbor weights, for every hexagon.
+    (1/6) sum of the six neighbor weights, for every hexagon.  Instances are
+    immutable by contract: make_weight_function shares them and
+    wperim_objective caches its result per instance.
     """
 
     def __init__(self, n, values, seed=None, attempt=0):
@@ -82,6 +85,7 @@ class WeightFunction:
                 f"seed={self.seed!r}, attempt={self.attempt})")
 
 
+@lru_cache(maxsize=256)
 def make_weight_function(n, seed=0) -> WeightFunction:
     """A seeded generic weight function for the size-n triangle.
 
@@ -90,6 +94,9 @@ def make_weight_function(n, seed=0) -> WeightFunction:
     missing, plus a perturbation drawn uniformly from (0, 1) in steps of
     2^-(10+attempt).  The slack absorbs any such perturbation, so attempt 0
     already verifies; the retry loop only shrinks the perturbation further.
+
+    Built and verified once per (n, seed): later calls return the same
+    object, so it is immutable by contract.
     """
     interior = sorted(HiveShape(n).interior())
     sq = {p: sum(c * c for c in root_of(n, *p)) for p in interior}
@@ -126,6 +133,7 @@ class ObjectiveVector:
         return f"ObjectiveVector(n={self.n})"
 
 
+@lru_cache(maxsize=256)
 def wperim_objective(w: WeightFunction) -> ObjectiveVector:
     """Express the weighted perimeter sum in hive coordinates.
 
@@ -134,6 +142,9 @@ def wperim_objective(w: WeightFunction) -> ObjectiveVector:
     neighbor entries.  Collecting per entry gives coefficient
     6*w(p) - sum of w over p's neighbors, strictly positive on interior
     entries by superharmonicity.
+
+    Built once per weight function (by identity) and shared: the result is
+    immutable by contract, like the weights it is built from.
     """
     n = w.n
     ov = ObjectiveVector(n, {p: 6 * w(p) - sum(w(q) for q in _neighbors(p))
@@ -234,7 +245,7 @@ def max_inflation(H: Hive, regions) -> Fraction:
         rate = (vec.amount(r.obtuse[0]) + vec.amount(r.obtuse[1])
                 - vec.amount(r.acute[0]) - vec.amount(r.acute[1]))
         if rate < 0:
-            bound = rhombus_value(H, r) / -rate
+            bound = Fraction(rhombus_value(H, r), -rate)
             if best is None or bound < best:
                 best = bound
     if best is None:
@@ -496,6 +507,11 @@ def forest_solve(t: BoundaryTriple, forest) -> dict:
 # hunting nonintegral polytope vertices
 
 
+#: Most k-subsets of rhombus rows _vertex_plan lists; n=5 has C(30, 6) =
+#: 593,775, n=6 already C(45, 10) = 3,190,187,286.
+MAX_VERTEX_SUBSETS = 1_000_000
+
+
 @cache
 def _vertex_plan(n):
     """Rhombus rows as arrays plus all tight subsets that can go off-lattice.
@@ -514,11 +530,19 @@ def _vertex_plan(n):
     within k*A*C and every tested value coef.numer + det*const within
     (4*k*A + D)*C, for A the largest |adjugate| entry, D the largest det and
     C = max|consts|.  C <= const_limit keeps all of them inside int64.
+
+    TooLarge, before anything is listed, when there are more than
+    MAX_VERTEX_SUBSETS subsets to list (n >= 6).
     """
     plan = _plan(n)
     coefs = plan.coefs
     k = coefs.shape[1]
     var_rows = [i for i in range(len(coefs)) if coefs[i].any()]
+    total = math.comb(len(var_rows), k)
+    if total > MAX_VERTEX_SUBSETS:
+        raise TooLarge(f"the n={n} vertex scan would list C({len(var_rows)}, "
+                       f"{k}) = {total} row subsets (limit "
+                       f"{MAX_VERTEX_SUBSETS})")
     subs = np.array(list(itertools.combinations(var_rows, k)), np.int32)
     kept = [(np.empty((0, k), np.int32), np.empty((0, k, k), np.int32),
              np.empty(0, np.int64))]
@@ -554,7 +578,8 @@ def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,
     is added back to a hit).  Hits are re-verified in exact arithmetic
     before being returned as a (boundary, hive) pair; None certifies no such
     vertex exists in range.  OverflowError when a boundary's rhombus
-    constants are too large for the int64 scan.
+    constants are too large for the int64 scan; TooLarge for n >= 6, whose
+    subset table does not fit in memory.
     """
     coefs, sub_rows, sub_adj, sub_det, const_limit = _vertex_plan(n)
     if len(sub_det) == 0:

@@ -7,6 +7,7 @@ boundary filling, rhombus scan, and flat indexing are all reimplemented, so
 agreement between the two sides is evidence rather than tautology.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -175,21 +176,34 @@ def _rhombus_rows(n, boundary):
 
 
 def _solve_square(rows):
-    """Exact solve of a square linear system; None when singular."""
+    """Exact solve of a square linear system; None when singular.
+
+    Fraction-free (Bareiss) elimination in integers: the constants are put
+    over one denominator, every division is exact, and only the solution is
+    turned into Fractions.
+    """
     k = len(rows)
-    m = [[Fraction(c) for c in coef] + [-const] for coef, const in rows]
+    den = math.lcm(*[Fraction(const).denominator for _, const in rows])
+    m = [[int(c) for c in coef] + [int(-Fraction(const) * den)]
+         for coef, const in rows]
+    prev = 1
     for col in range(k):
         piv = next((r for r in range(col, k) if m[r][col] != 0), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][k] for r in range(k)]
+        top = m[col]
+        p = top[col]
+        for r in range(col + 1, k):
+            f = m[r][col]
+            m[r] = [(v * p - f * t) // prev for v, t in zip(m[r], top)]
+        prev = p
+    # prev is now det; back substitution gives the Cramer numerators det*x
+    num = [0] * k
+    for i in reversed(range(k)):
+        acc = prev * m[i][k] - sum(m[i][j] * num[j] for j in range(i + 1, k))
+        num[i] = acc // m[i][i]
+    return [Fraction(v, prev * den) for v in num]
 
 
 def enumerate_polytope_vertices(t: BoundaryTriple, allow_large=False):

@@ -1,7 +1,10 @@
 """Exact geometry of the plane B = {(x,y,z) : x+y+z = 0}.
 
-Everything here is Fraction arithmetic; no floats ever enter a geometric
-predicate.  Only the six lattice directions are supported.
+Everything here is exact: a coordinate, length or multiplicity is an int
+when it is integral and a Fraction otherwise (`coord`), and no float ever
+enters a geometric predicate.  Integral honeycombs, among them every largest
+lift over an integral regular boundary, so run on Python ints.  Only the six
+lattice directions are supported.
 """
 
 from __future__ import annotations
@@ -19,6 +22,19 @@ def frac(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"cannot coerce {v!r} to an exact rational")
+
+
+def coord(v):
+    """Coerce like frac, but to an int when the value is integral.
+
+    The one coercion behind points, segment lengths and multiplicities;
+    ints and Fractions of equal value compare and hash alike, and print the
+    same.
+    """
+    if type(v) is int:
+        return v
+    v = frac(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 class Infinity:
@@ -84,39 +100,43 @@ INF = Infinity()
 
 @dataclass(frozen=True)
 class PlanePoint:
-    """A point of B, all three coordinates stored to keep S3 symmetry literal."""
+    """A point of B, all three coordinates stored to keep S3 symmetry literal.
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    Coordinates are stored through `coord`: ints when integral.
+    """
+
+    x: object
+    y: object
+    z: object
 
     def __post_init__(self):
-        object.__setattr__(self, "x", frac(self.x))
-        object.__setattr__(self, "y", frac(self.y))
-        object.__setattr__(self, "z", frac(self.z))
+        object.__setattr__(self, "x", coord(self.x))
+        object.__setattr__(self, "y", coord(self.y))
+        object.__setattr__(self, "z", coord(self.z))
         if self.x + self.y + self.z != 0:
             raise ValueError(f"({self.x},{self.y},{self.z}) is not in the zero-sum plane")
 
     @classmethod
     def from_xy(cls, x, y) -> "PlanePoint":
-        x, y = frac(x), frac(y)
+        x, y = coord(x), coord(y)
         return cls(x, y, -x - y)
 
     def coords(self):
         return (self.x, self.y, self.z)
 
-    def __getitem__(self, axis: int) -> Fraction:
+    def __getitem__(self, axis: int):
         return (self.x, self.y, self.z)[axis]
 
     def step(self, direction: "Direction", t) -> "PlanePoint":
         """The point  self + t * direction.step."""
-        t = frac(t)
+        t = coord(t)
         dx, dy, dz = direction.step
         return PlanePoint(self.x + t * dx, self.y + t * dy, self.z + t * dz)
 
     def translate(self, vec) -> "PlanePoint":
         vx, vy, vz = vec
-        return PlanePoint(self.x + frac(vx), self.y + frac(vy), self.z + frac(vz))
+        return PlanePoint(self.x + coord(vx), self.y + coord(vy),
+                          self.z + coord(vz))
 
     def __repr__(self):
         return f"({self.x},{self.y},{self.z})"
@@ -189,15 +209,15 @@ class SegmentOrRay:
 
     base: PlanePoint
     direction: Direction
-    length: object  # positive Fraction, or INF
-    multiplicity: Fraction = Fraction(1)
+    length: object  # positive int or Fraction (see coord), or INF
+    multiplicity: object = 1
 
     def __post_init__(self):
         if self.length is not INF:
-            object.__setattr__(self, "length", frac(self.length))
+            object.__setattr__(self, "length", coord(self.length))
             if self.length <= 0:
                 raise ValueError("segment length must be positive")
-        object.__setattr__(self, "multiplicity", frac(self.multiplicity))
+        object.__setattr__(self, "multiplicity", coord(self.multiplicity))
         if self.multiplicity <= 0:
             raise ValueError("multiplicity must be positive")
 
@@ -211,7 +231,7 @@ class SegmentOrRay:
             raise ValueError("a ray has no finite endpoint")
         return self.base.step(self.direction, self.length)
 
-    def constant(self) -> Fraction:
+    def constant(self):
         return self.base[self.direction.constant_axis]
 
     def interval(self):
@@ -226,7 +246,7 @@ class SegmentOrRay:
         lo = None if self.is_ray else p - self.length
         return (lo, p)
 
-    def point_at_param(self, t: Fraction) -> PlanePoint:
+    def point_at_param(self, t) -> PlanePoint:
         """Point on the carrying line with canonical parameter t."""
         axis = self.direction.constant_axis
         c = self.constant()

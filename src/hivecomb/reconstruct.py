@@ -19,7 +19,7 @@ from .errors import (DirectionViolation, EpsilonTooLarge, NotADiagram,
 from .honeycomb import (CCW_CLASSES, Honeycomb, Tinkertoy,
                         build_tinkertoy_from_type, validate_configuration)
 from .plane import (DIRECTION_ORDER, INF, Direction, PlanePoint,
-                    SegmentOrRay, frac, perp_step)
+                    SegmentOrRay, coord, frac, perp_step)
 from .weights import as_weight
 
 _DIR_INDEX = {d.name: i for i, d in enumerate(DIRECTION_ORDER)}
@@ -189,7 +189,7 @@ class HalfEdge:
 
     node: int
     direction: Direction
-    constant: Fraction
+    constant: object  # int or Fraction, as plane.coord stores it
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class ElisionEdge:
     a: int
     b: int
     direction: Direction  # travelling from a to b
-    length: Fraction
+    length: object  # int or Fraction, as plane.coord stores it
 
 
 class PostElisionGraph:
@@ -259,7 +259,7 @@ def elide(m: Diagram) -> PostElisionGraph:
             if v.mults[di] == 0:
                 continue
             p = v.location
-            length = Fraction(0)
+            length = 0
             while True:
                 s = leaving[(p, d.name)]
                 if s.is_ray:
@@ -276,7 +276,7 @@ def elide(m: Diagram) -> PostElisionGraph:
                 key = frozenset({(i, d.name), (j, d.opposite().name)})
                 if key not in seen:
                     seen.add(key)
-                    edges.append(ElisionEdge(i, j, d, length))
+                    edges.append(ElisionEdge(i, j, d, coord(length)))
                 break
 
     free_lines = []
@@ -388,12 +388,14 @@ def breathe_loop(h: Honeycomb, loop, epsilon) -> Honeycomb:
         if rate != 0:
             rates[e] = rate
     if eps > 0:
-        bounds = [-h.edge_length(e) / r for e, r in rates.items() if r < 0]
+        bounds = [Fraction(-h.edge_length(e), r) for e, r in rates.items()
+                  if r < 0]
         limit = min(bounds, default=None)
         if limit is not None and eps > limit:
             raise EpsilonTooLarge(limit)
     elif eps < 0:
-        bounds = [-h.edge_length(e) / r for e, r in rates.items() if r > 0]
+        bounds = [Fraction(-h.edge_length(e), r) for e, r in rates.items()
+                  if r > 0]
         limit = max(bounds, default=None)
         if limit is not None and eps < limit:
             raise EpsilonTooLarge(limit)

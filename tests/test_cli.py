@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hivecomb import cli
+from hivecomb import cli, lift
 from hivecomb.diagram import canonical_diagram, diagram
 from hivecomb.hive import Hive, enumerate_lattice_hives
 from hivecomb.honeycomb import build_gl_tinkertoy, standard_configuration
@@ -328,6 +328,20 @@ class TestFindNonintegralVertexCli:
         data = json.loads(out.read_text())
         assert data["boundary"]["lambda"] == ["1", "0"]
         assert "3/2" in data["hive"]["entries"]
+
+    def test_rank_six_exits_2(self, monkeypatch):
+        # the n=6 subset table, C(45, 10) subsets, is refused before it is
+        # listed; listing it would fill memory, so any listing fails here
+        def refuse(*args):
+            raise AssertionError("subsets listed before the size check")
+
+        monkeypatch.setattr(lift, "itertools",
+                            SimpleNamespace(combinations=refuse))
+        code, out, err = run("find-nonintegral-vertex", "-n", "6",
+                             "--entry-bound", "1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "C(45, 10)" in err
 
 
 class TestSeedPlumbing:

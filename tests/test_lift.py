@@ -19,6 +19,7 @@ from hivecomb import (BoundaryTriple, DegenerateOptimum, HasCycle, Hive,
 from hivecomb.diagram import classify_vertex
 from hivecomb.hive import HiveShape, exists_lattice_hive, root_of
 from hivecomb.oracles import enumerate_polytope_vertices
+from hivecomb.plane import PlanePoint
 from hivecomb.reconstruct import HalfEdge, PostElisionGraph
 from hivecomb import _kernels
 from hivecomb import lift as lift_module
@@ -99,6 +100,18 @@ class TestWeightFunction:
         w5 = make_weight_function(5, seed=0)
         assert w5((1, 1)) == F(400803, 1024)
         assert w5((2, 2)) == F(13667, 32)
+
+    def test_built_once_per_seed(self):
+        # shared objects, equal to freshly built ones
+        for n, seed in ((3, 0), (4, 7), (5, "x")):
+            w = make_weight_function(n, seed)
+            assert make_weight_function(n, seed) is w
+            fresh = make_weight_function.__wrapped__(n, seed)
+            assert (w.values, w.seed, w.attempt) == \
+                (fresh.values, fresh.seed, fresh.attempt)
+            ov = wperim_objective(w)
+            assert wperim_objective(w) is ov
+            assert ov.coeffs == wperim_objective.__wrapped__(fresh).coeffs
 
     def test_seeds_differ(self):
         assert make_weight_function(4, seed=0).values != \
@@ -405,6 +418,47 @@ class TestLargestLift:
                 axis = e.direction.constant_axis
                 assert rep.forest.nodes[e.a].location[axis] == c
             done += 1
+
+    def test_no_float_leaks(self):
+        # every coordinate, length and multiplicity of the honeycomb, its
+        # diagram and the post-elision forest is an int when integral and a
+        # Fraction otherwise; the rational boundary exercises the Fractions
+        def exact(v):
+            return (type(v) is int
+                    or (type(v) is Fraction and v.denominator != 1))
+
+        def point(p):
+            return all(exact(c) for c in p.coords())
+
+        rng = random.Random(17)
+        reps = []
+        for n in (3, 4, 5):
+            t = feasible_boundary(n, rng)
+            while not t.regular:
+                t = feasible_boundary(n, rng)
+            reps.append(largest_lift(t))
+        half = BoundaryTriple((F(3, 2), F(1, 2), 0), (1, F(1, 2), 0),
+                              (F(-1, 2), -1, -2))
+        reps.append(largest_lift(half))
+        fractions = 0
+        for rep in reps:
+            h = hive_to_honeycomb(rep.hive)
+            assert all(point(h.position(v)) for v in h.tinkertoy.vertices)
+            assert all(exact(h.edge_length(e))
+                       for e in h.tinkertoy.finite_edges)
+            dg = diagram(h)
+            for s in dg.segments:
+                assert point(s.base) and exact(s.multiplicity)
+                assert s.is_ray or exact(s.length)
+            for v in dg.vertices + rep.forest.nodes:
+                assert point(v.location) and all(exact(m) for m in v.mults)
+            assert all(exact(e.length) for e in rep.forest.edges)
+            assert all(exact(he.constant) for he in rep.forest.half_edges)
+            fractions += sum(type(c) is Fraction for s in dg.segments
+                             for c in s.base.coords())
+        assert fractions > 0
+        with pytest.raises(TypeError):
+            PlanePoint(0.5, -0.5, 0)
 
 
 class TestForestSolve:

@@ -1,11 +1,17 @@
-"""Exact simplex: free variables, both phases, failures and certificates."""
+"""Exact simplex: free variables, both phases, failures, certificates, and
+agreement with the Fraction-tableau reference."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import simplex_reference
 from hivecomb.errors import Infeasible, Unbounded
+from hivecomb.hive import HiveShape
+from hivecomb.lift import _lp_rows, make_weight_function, wperim_objective
 from hivecomb.simplex import maximize
+from test_acceptance import _random_feasible
 
 F = Fraction
 
@@ -107,3 +113,72 @@ class TestUniquenessCertificate:
         # y appears in no row and costs nothing: every y is optimal
         sol = maximize((1, 0), [((1, 0), 0), ((-1, 0), 4)])
         assert sol.x == (F(4), F(0)) and not sol.unique
+
+
+def _outcome(solve, c, rows):
+    """Status and answer of one solve, for exact comparison."""
+    try:
+        sol = solve(c, rows)
+    except (Infeasible, Unbounded) as ex:
+        return type(ex).__name__
+    assert all(type(v) is Fraction for v in sol.x + sol.multipliers)
+    return sol.x, sol.value, sol.multipliers, sol.unique
+
+
+def _random_lp(rng):
+    """A small LP, drawn to reach every status and the tie-breaking paths."""
+    k = rng.randint(1, 4)
+    m = rng.randint(0, 7)
+    denoms = (1, 1, 1, 2, 3) if rng.random() < 0.3 else (1,)
+
+    def num(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice(denoms))
+
+    rows = [([num(-3, 3) for _ in range(k)], num(-5, 5)) for _ in range(m)]
+    if rng.random() < 0.5:  # a box keeps it bounded
+        b = rng.randint(0, 4)
+        for j in range(k):
+            for sign in (1, -1):
+                coef = [0] * k
+                coef[j] = sign
+                rows.append((coef, b))
+    if rng.random() < 0.2:  # a free line: one variable in no row
+        j = rng.randrange(k)
+        for coef, _ in rows:
+            coef[j] = 0
+    if rows and rng.random() < 0.2:  # a repeated row
+        rows.append(rng.choice(rows))
+    rng.shuffle(rows)
+    kind = rng.random()
+    if kind < 0.15:  # zero objective: everything feasible is optimal
+        c = [0] * k
+    elif kind < 0.3 and rows:  # parallel to a row: ties along its facet
+        coef, _ = rng.choice(rows)
+        c = [-v * rng.randint(1, 3) for v in coef]
+    else:
+        c = [num(-4, 4) for _ in range(k)]
+    return c, rows
+
+
+def test_matches_fraction_reference_on_random_lps():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(3000):
+        c, rows = _random_lp(rng)
+        got = _outcome(maximize, c, rows)
+        assert got == _outcome(simplex_reference.maximize, c, rows), (c, rows)
+        seen.add(got if isinstance(got, str) else got[3])
+    assert seen == {"Infeasible", "Unbounded", True, False}
+
+
+def test_matches_fraction_reference_on_lift_lps():
+    # the 200 regular boundaries of test_acceptance's largest-lift runs
+    rng = random.Random(200)
+    for k in range(200):
+        n = 2 + k % 4
+        t = _random_feasible(n, rng, bound=8, regular=True)
+        _, _, rows = _lp_rows(t)
+        ov = wperim_objective(make_weight_function(n))
+        c = [ov.coeffs[p] for p in HiveShape(n).interior()]
+        assert (_outcome(maximize, c, rows)
+                == _outcome(simplex_reference.maximize, c, rows)), t
