@@ -1,4 +1,4 @@
-"""int64 numpy kernels for the two enumeration hot loops.
+"""The int64 numpy kernel of the lattice-point enumeration.
 
 `frontier` walks the lattice points of hive polytopes: it fills the interior
 entries of a batch of boundary rows one at a time, in the scan order of the
@@ -7,15 +7,15 @@ triples per interior entry: (a, b, c) means entry >= E[a]+E[b]-E[c] (lower)
 or <= E[a]+E[b]-E[c] (upper), with every referenced slot filled earlier in
 the scan.  Callers keep every entry within +-2^60, so no bound reaches the
 +-2^62 sentinels and no width overflows.
-
-`vertex_scan` tests the stored square subsystems of a hive polytope for a
-feasible nonintegral solution.
 """
 
 import numpy as np
 
 # numba is not used; perfbench's worker prints this in its environment line.
 HAVE_NUMBA = False
+# Nothing calls this: vertices are enumerated exactly in `lift._vertices`.
+# perfbench's tracer still looks the name up, so it stays bound.
+vertex_scan = None
 
 #: Most children a frontier layer materialises at once.  A wider layer, or
 #: a single parent with a wider range, is cut into blocks of at most this
@@ -108,29 +108,3 @@ def count_assignments(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc,
     return frontier(entries[np.newaxis, :], iidx, lo_ptr, lo_abc, up_ptr,
                     up_abc, exists_only=exists_only)[0]
 
-
-def vertex_scan(coefs, consts, sub_rows, sub_adj, sub_det):
-    """Index of the first stored subset giving a feasible nonintegral point.
-
-    Rows read coef.x + const >= 0.  For subset s with row list R, the unique
-    solution of coef[R].x = -const[R] is x = (adj @ -const[R]) / det with
-    det > 0, so x is integral iff det divides every numerator.  Only subsets
-    with det >= 2 are stored; callers keep max|consts| under the limit of
-    `lift._vertex_plan`, so all stays inside int64.  Returns -1 when no
-    stored subset gives a feasible nonintegral point; chunks bound memory.
-    """
-    chunk = 1 << 14
-    S = sub_rows.shape[0]
-    for lo in range(0, S, chunk):
-        rows = sub_rows[lo:lo + chunk]
-        adj = sub_adj[lo:lo + chunk].astype(np.int64)
-        det = sub_det[lo:lo + chunk]
-        numer = np.einsum("sij,sj->si", adj, -consts[rows])
-        cand = np.nonzero((numer % det[:, None] != 0).any(axis=1))[0]
-        if cand.size == 0:
-            continue
-        vals = numer[cand] @ coefs.T + np.outer(det[cand], consts)
-        hits = cand[(vals >= 0).all(axis=1)]
-        if hits.size:
-            return lo + int(hits[0])
-    return -1

@@ -73,14 +73,17 @@ def honeycomb_to_json(h: Honeycomb) -> dict:
 
 
 def honeycomb_from_json(data) -> Honeycomb:
-    tk = build_tinkertoy_from_type(tuple(int(c) for c in data["type"]))
+    try:
+        census = tuple(int(c) for c in data["type"])
+        points = [PlanePoint(*map(frac, p)) for p in data["positions"]]
+    except TypeError as ex:  # JSON of the wrong shape
+        raise ValueError(f"not a honeycomb: {ex}") from ex
+    tk = build_tinkertoy_from_type(census)
     verts = tk.sorted_vertices
-    if len(data["positions"]) != len(verts):
+    if len(points) != len(verts):
         raise ValueError(f"expected {len(verts)} positions, "
-                         f"got {len(data['positions'])}")
-    pos = {v: PlanePoint(*(frac(c) for c in coords))
-           for v, coords in zip(verts, data["positions"])}
-    return validate_configuration(tk, pos)
+                         f"got {len(points)}")
+    return validate_configuration(tk, dict(zip(verts, points)))
 
 
 def diagram_to_json(m) -> list:
@@ -91,13 +94,14 @@ def diagram_to_json(m) -> list:
 
 
 def diagram_from_json(data):
-    pieces = []
-    for row in data:
-        base = PlanePoint(*(frac(c) for c in row["base"]))
-        length = INF if row["length"] == "inf" else frac(row["length"])
-        pieces.append(SegmentOrRay(base, DIRECTIONS[row["direction"]],
-                                   length, frac(row.get("multiplicity", 1))))
-    return canonical_diagram(pieces)
+    try:
+        rows = [(PlanePoint(*map(frac, row["base"])),
+                 DIRECTIONS[row["direction"]],
+                 INF if row["length"] == "inf" else frac(row["length"]),
+                 frac(row.get("multiplicity", 1))) for row in data]
+    except TypeError as ex:  # JSON of the wrong shape
+        raise ValueError(f"not a diagram: {ex}") from ex
+    return canonical_diagram([SegmentOrRay(*row) for row in rows])
 
 
 def lift_report_to_json(rep) -> dict:
@@ -120,8 +124,11 @@ def _load_json(path):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise ValueError(f"cannot write {out_path}: {ex}") from ex
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -267,6 +274,8 @@ def cmd_saturate_check(args) -> int:
     n, factor = args.n, args.N
     if factor < 1:
         raise ValueError("the stretch factor must be a positive integer")
+    if args.max_entry < 0 or args.samples < 0:
+        raise ValueError("--max-entry and --samples must not be negative")
     if args.samples:
         rng = random.Random(args.seed)
         lams = dominant_vectors(n, -args.max_entry, args.max_entry)

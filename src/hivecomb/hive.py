@@ -487,16 +487,17 @@ def count_gt_patterns(lam) -> int:
     w = as_weight(lam)
     if not is_integral(w):
         raise ValueError("pattern counting needs an integral weight")
-    top = tuple(int(x) for x in w)
+    return _gt_below(tuple(int(x) for x in w), {})
 
-    @cache
-    def rec(row):
-        if len(row) <= 1:
-            return 1
+
+def _gt_below(row, memo):
+    """Patterns interleaving down from row, memoized per call in memo."""
+    if len(row) <= 1:
+        return 1
+    if row not in memo:
         ranges = [range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)]
-        return sum(rec(nxt) for nxt in product(*ranges))
-
-    return rec(top)
+        memo[row] = sum(_gt_below(nxt, memo) for nxt in product(*ranges))
+    return memo[row]
 
 
 def _rh(H, p, q):

@@ -11,6 +11,7 @@ length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .errors import DirectionViolation, TypeDoesNotClose
@@ -186,8 +187,10 @@ class Tinkertoy:
         return f"Tinkertoy(type={self.type}, {len(self.vertices)} vertices)"
 
 
+@cache
 def build_gl_tinkertoy(n: int) -> Tinkertoy:
-    """The GL_n tinkertoy: lattice vertices with j + 3n >= i >= k >= j."""
+    """The GL_n tinkertoy: lattice vertices with j + 3n >= i >= k >= j.
+    Built once per n and shared; a Tinkertoy is only set in __init__."""
     if n < 1:
         raise ValueError("n must be at least 1")
     verts = []

@@ -11,27 +11,24 @@ integral ones).
 
 Also here: hexagon inflation directions, the molting recipes that express a
 degenerate vertex's unfolding as a sum of inflations, the leaf-stripping
-solver for edge constant coordinates on an acyclic post-elision graph, and a
-scan for hive-polytope vertices with nonintegral coordinates.
+solver for edge constant coordinates on an acyclic post-elision graph, and
+the hunt for hive-polytope vertices with nonintegral coordinates, which
+enumerates each boundary's vertices exactly by double description.
 """
 
-import itertools
 import logging
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
-import numpy as np
-
-from . import _kernels
 from .diagram import diagram
 from .errors import (DegenerateOptimum, HasCycle, NotDegenerate,
-                     NotSimplyDegenerate, RhombusViolation, TooLarge)
-from .hive import (Hive, HiveShape, _kernel_row, _plan, _rhombus_at,
-                   _twist_shift, boundary_from_weights, hive_indices,
-                   hive_to_honeycomb, rhombi, rhombus_value, root_of)
+                     NotSimplyDegenerate, RhombusViolation)
+from .hive import (Hive, HiveShape, _plan, _rhombus_at, boundary_from_weights,
+                   hive_indices, hive_to_honeycomb, rhombi, rhombus_value,
+                   root_of)
 from .honeycomb import build_tinkertoy_from_type, dual_graph
 from .plane import DIRECTION_ORDER, frac
 from .reconstruct import elide
@@ -507,64 +504,70 @@ def forest_solve(t: BoundaryTriple, forest) -> dict:
 # hunting nonintegral polytope vertices
 
 
-#: Most k-subsets of rhombus rows _vertex_plan lists; n=5 has C(30, 6) =
-#: 593,775, n=6 already C(45, 10) = 3,190,187,286.
-MAX_VERTEX_SUBSETS = 1_000_000
+def _vertices(rows, low):
+    """Every vertex of the polytope {x : coef.x + const >= 0 for all rows},
+    given a lower bound low on every coordinate of its points.
 
-
-@cache
-def _vertex_plan(n):
-    """Rhombus rows as arrays plus all tight subsets that can go off-lattice.
-
-    Returns (coefs, sub_rows, sub_adj, sub_det, const_limit).  Rhombus r
-    reads coefs[r].x + consts[r] >= 0 for the interior entries x in scan
-    order, with consts = E[quads] @ (1, 1, -1, -1) for the plan's rhombus
-    corners and a kernel row E.  Subsets of k independent rows are
-    precomputed with integer adjugates and determinants (sign-normalized
-    positive); those with det 1 can only give integral solutions and are
-    dropped.  Determinants come from float batches but are verified exactly
-    in integers before use.
-
-    const_limit bounds max|consts| for `_kernels.vertex_scan`: with at most
-    4 nonzero +-1 coefficients per row, every numerator adj @ -consts is
-    within k*A*C and every tested value coef.numer + det*const within
-    (4*k*A + D)*C, for A the largest |adjugate| entry, D the largest det and
-    C = max|consts|.  C <= const_limit keeps all of them inside int64.
-
-    TooLarge, before anything is listed, when there are more than
-    MAX_VERTEX_SUBSETS subsets to list (n >= 6).
+    rows are (coef, const) in ints, their coefficients of full column rank
+    k, so the polytope is bounded.  Double description (Fukuda & Prodon
+    1996) of the cone {(x, s) : coef.x + const*s >= 0, s >= 0}: it starts
+    from the simplicial cone s >= 0, x_i >= low*s (which holds it), whose
+    rays are (low, ..., low, 1) and the unit vectors (e_i, 0), and inserts
+    the rows one at a time.  Rays on a row's side stay; each pair across it
+    that the combinatorial test calls adjacent (no third ray is tight on
+    every inequality both are tight on) is joined into a ray on it.  Zero
+    sets are int bitmasks: bit 0 for s >= 0, bit i + 1 for x_i >= low*s
+    and bit k + 1 + r for rows[r].  Rays stay primitive, so a ray (x, s)
+    with s > 0 is the vertex x / s, integral exactly when s == 1.  Returns
+    (x, s, tight) per vertex, tight the bitmask of the rows it makes tight.
     """
-    plan = _plan(n)
-    coefs = plan.coefs
-    k = coefs.shape[1]
-    var_rows = [i for i in range(len(coefs)) if coefs[i].any()]
-    total = math.comb(len(var_rows), k)
-    if total > MAX_VERTEX_SUBSETS:
-        raise TooLarge(f"the n={n} vertex scan would list C({len(var_rows)}, "
-                       f"{k}) = {total} row subsets (limit "
-                       f"{MAX_VERTEX_SUBSETS})")
-    subs = np.array(list(itertools.combinations(var_rows, k)), np.int32)
-    kept = [(np.empty((0, k), np.int32), np.empty((0, k, k), np.int32),
-             np.empty(0, np.int64))]
-    for lo in range(0, len(subs), 1 << 16):
-        chunk = subs[lo:lo + (1 << 16)]
-        mats = coefs[chunk]
-        dets = np.rint(np.linalg.det(mats.astype(np.float64))).astype(np.int64)
-        keep = np.abs(dets) >= 2
-        if not keep.any():
+    k = len(rows[0][0])
+    start = (1 << k + 1) - 1
+    rays = [((low,) * k + (1,), start - 1)]
+    rays += [(tuple(int(i == j) for j in range(k + 1)), start - (2 << i))
+             for i in range(k)]
+    for r, (coef, const) in enumerate(rows):
+        a, bit = (*coef, const), 1 << k + 1 + r
+        pos, neg, kept = [], [], []
+        for ray, z in rays:
+            v = sum(p * q for p, q in zip(a, ray))
+            if v < 0:
+                neg.append((v, ray, z))
+                continue
+            if v > 0:
+                pos.append((v, ray, z))
+            kept.append((ray, z if v else z | bit))
+        masks = [z for _, z in rays]
+        for vp, p, zp in pos:
+            for vn, q, zq in neg:
+                z = zp & zq
+                if (z.bit_count() >= k - 1
+                        and sum(z & zr == z for zr in masks) == 2):
+                    ray = [vp * b - vn * c for c, b in zip(p, q)]
+                    g = math.gcd(*ray)
+                    kept.append((tuple(x // g for x in ray), z | bit))
+        rays = kept
+    return [(ray[:-1], ray[-1], z >> k + 1) for ray, z in rays]
+
+
+def _first_basis(coefs, tight):
+    """The lexicographically first basis of the rows coefs[r] with bit r
+    set in tight, as row indices: of a vertex's bases, the first in subset
+    order.  A greedy pass keeps each row independent of those kept before,
+    by fraction-free elimination in ints."""
+    pivots, picked = [], []
+    for r, v in enumerate(coefs):
+        if not tight >> r & 1:
             continue
-        mats, dets, chunk = mats[keep], dets[keep], chunk[keep]
-        adj = np.rint(np.linalg.inv(mats.astype(np.float64))
-                      * dets[:, None, None]).astype(np.int64)
-        sign = np.sign(dets)
-        dets, adj = dets * sign, adj * sign[:, None, None]
-        ident = dets[:, None, None] * np.eye(k, dtype=np.int64)
-        assert (np.einsum("sij,sjk->sik", mats, adj) == ident).all()
-        kept.append((chunk, adj.astype(np.int32), dets))
-    sub_rows, sub_adj, sub_det = map(np.concatenate, zip(*kept))
-    spread = 4 * k * int(np.abs(sub_adj).max(initial=0)) + int(sub_det.max(
-        initial=1))
-    return coefs, sub_rows, sub_adj, sub_det, ((1 << 63) - 1) // spread
+        for col, p in pivots:
+            f = v[col]
+            if f:
+                v = [a * p[col] - f * b for a, b in zip(v, p)]
+        col = next((c for c, a in enumerate(v) if a), None)
+        if col is not None:
+            pivots.append((col, v))
+            picked.append(r)
+    return picked
 
 
 def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,
@@ -573,42 +576,38 @@ def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,
 
     Scans integral boundary triples with all entries in [-entry_bound,
     entry_bound] in lexicographic order (or shuffled by seed, or the given
-    boundaries), checking every basic solution of every boundary's polytope
-    on its kernel row (the boundary twisted to lam_n = mu_n = 0; the twist
-    is added back to a hit).  Hits are re-verified in exact arithmetic
-    before being returned as a (boundary, hive) pair; None certifies no such
-    vertex exists in range.  OverflowError when a boundary's rhombus
-    constants are too large for the int64 scan; TooLarge for n >= 6, whose
-    subset table does not fit in memory.
+    boundaries), enumerating every vertex of each boundary's polytope
+    exactly from its LP rows (`_vertices`).  Of several nonintegral
+    vertices the one returned has the lexicographically first basis of
+    tight rows.  Hits are re-verified before being returned as a
+    (boundary, hive) pair; None certifies no such vertex exists in range.
+    Below n = 4 there is at most one interior entry, each row's coefficient
+    is 0 or +-1, and every vertex is integral, so nothing is scanned.
     """
-    coefs, sub_rows, sub_adj, sub_det, const_limit = _vertex_plan(n)
-    if len(sub_det) == 0:
+    if n <= 3:
         return None
     if boundaries is None:
         boundaries = boundary_grid(n, entry_bound, entry_bound)
         if seed is not None:
             boundaries = list(boundaries)
             random.Random(seed).shuffle(boundaries)
-    plan = _plan(n)
     for count, t in enumerate(boundaries):
         if limit is not None and count >= limit:
             break
-        row = _kernel_row(t)
-        if row is None:
-            continue  # a negative boundary-only rhombus: empty polytope
-        consts = row[plan.quads] @ np.array([1, 1, -1, -1])
-        big = int(np.abs(consts).max())
-        if big > const_limit:
-            raise OverflowError(f"rhombus constants up to {big} do not fit "
-                                f"the int64 vertex scan (limit {const_limit})")
-        s = _kernels.vertex_scan(coefs, consts, sub_rows, sub_adj, sub_det)
-        if s < 0:
+        if not t.integral:
+            raise ValueError("the vertex hunt needs an integral boundary")
+        inter, bvals, rows = _lp_rows(t)
+        rows = [(coef, int(const)) for coef, const in rows]
+        # a hive is the restriction of a concave function on the triangle,
+        # so no entry is below the smallest boundary entry
+        hits = [v for v in _vertices(rows, int(min(bvals.values())))
+                if v[1] > 1]
+        if not hits:
             continue
-        numer = -(sub_adj[s].astype(np.int64) @ consts[sub_rows[s]])
-        entries = row.tolist()
-        for k, v in zip(plan.scan[0].tolist(), numer.tolist()):
-            entries[k] = Fraction(v, int(sub_det[s]))
-        hive = Hive(n, [v + d for v, d in zip(entries, _twist_shift(t))])
+        coefs = [coef for coef, _ in rows]
+        x, s, _ = min(hits, key=lambda v: _first_basis(coefs, v[2]))
+        entries = {**bvals, **{p: Fraction(v, s) for p, v in zip(inter, x)}}
+        hive = Hive(n, [entries[p] for p in hive_indices(n)])
         assert hive.is_valid and not hive.is_integral
         assert hive.boundary_triple() == t
         return t, hive

@@ -61,30 +61,30 @@ def lr_coefficient_tableaux(lam, mu, nu_star) -> int:
     for r in range(rows):
         for c in range(nu_star[r] - 1, inner[r] - 1, -1):
             cells.append((r, c))
+    return _place(cells, 0, mu, [0] * (len(mu) + 1), {})
+
+
+def _place(cells, pos, mu, used, grid):
+    """Tableaux completing grid from cells[pos] on; used[v] counts the
+    entries v placed so far."""
+    if pos == len(cells):
+        return 1
     k = len(mu)
-    used = [0] * (k + 1)
-    grid = {}
-
-    def place(pos):
-        if pos == len(cells):
-            return 1
-        r, c = cells[pos]
-        right = grid.get((r, c + 1), k)
-        above = grid.get((r - 1, c), 0) if r > 0 else 0
-        total = 0
-        for v in range(above + 1, min(right, r + 1, k) + 1):
-            if used[v] >= mu[v - 1]:
-                continue
-            if v > 1 and used[v] >= used[v - 1]:
-                continue
-            used[v] += 1
-            grid[(r, c)] = v
-            total += place(pos + 1)
-            used[v] -= 1
-        grid.pop((r, c), None)
-        return total
-
-    return place(0)
+    r, c = cells[pos]
+    right = grid.get((r, c + 1), k)
+    above = grid.get((r - 1, c), 0) if r > 0 else 0
+    total = 0
+    for v in range(above + 1, min(right, r + 1, k) + 1):
+        if used[v] >= mu[v - 1]:
+            continue
+        if v > 1 and used[v] >= used[v - 1]:
+            continue
+        used[v] += 1
+        grid[(r, c)] = v
+        total += _place(cells, pos + 1, mu, used, grid)
+        used[v] -= 1
+    grid.pop((r, c), None)
+    return total
 
 
 def partition_triple(t: BoundaryTriple):

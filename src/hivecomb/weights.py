@@ -91,30 +91,31 @@ def nu_to_sigma(nu) -> tuple:
     return sigma_to_nu(nu)
 
 
+def _dominant_tails(out, prefix, remaining, lo, hi, total):
+    """Append each completion of prefix to out; see dominant_vectors."""
+    if remaining == 0:
+        if total is None or sum(prefix) == total:
+            out.append(tuple(prefix))
+        return
+    for v in range(hi, lo - 1, -1):
+        # prune when the sum can no longer reach the target
+        if total is not None:
+            partial = sum(prefix) + v
+            rest = remaining - 1
+            if partial + rest * lo > total or partial + rest * v < total:
+                continue
+        prefix.append(v)
+        _dominant_tails(out, prefix, remaining - 1, lo, v, total)
+        prefix.pop()
+
+
 def dominant_vectors(n: int, lo: int, hi: int, total=None):
     """All weakly decreasing integer n-vectors with entries in [lo, hi].
 
     With total given, only those summing to it.  Yields tuples of ints.
     """
     out = []
-
-    def rec(prefix, last, remaining):
-        if remaining == 0:
-            if total is None or sum(prefix) == total:
-                out.append(tuple(prefix))
-            return
-        for v in range(min(last, hi), lo - 1, -1):
-            # prune when the sum can no longer reach the target
-            if total is not None:
-                partial = sum(prefix) + v
-                rest = remaining - 1
-                if partial + rest * lo > total or partial + rest * v < total:
-                    continue
-            prefix.append(v)
-            rec(prefix, v, remaining - 1)
-            prefix.pop()
-
-    rec([], hi, n)
+    _dominant_tails(out, [], n, lo, hi, total)
     return out
 
 

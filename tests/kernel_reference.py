@@ -1,7 +1,7 @@
-"""Plain-Python references for the kernels in `hivecomb._kernels`.
+"""Plain-Python reference for the frontier kernel in `hivecomb._kernels`.
 
-Each loops one entry, subset or row at a time, so the numpy kernels can be
-checked against a transcription that shares none of their array logic.
+It loops one entry at a time, so the numpy kernel can be checked against a
+transcription that shares none of its array logic.
 """
 
 import numpy as np
@@ -51,34 +51,3 @@ def count_dfs(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc, exists_only):
             descend = True
     return count
 
-
-def vertex_scan_loop(coefs, consts, sub_rows, sub_adj, sub_det):
-    """Index of the first stored subset giving a feasible nonintegral point,
-    or -1; see `_kernels.vertex_scan`."""
-    S = sub_rows.shape[0]
-    m = coefs.shape[0]
-    k = coefs.shape[1]
-    numer = np.empty(k, np.int64)
-    for s in range(S):
-        det = sub_det[s]
-        nonint = False
-        for i in range(k):
-            acc = np.int64(0)
-            for j in range(k):
-                acc -= sub_adj[s, i, j] * consts[sub_rows[s, j]]
-            numer[i] = acc
-            if acc % det != 0:
-                nonint = True
-        if not nonint:
-            continue
-        feasible = True
-        for r in range(m):
-            acc = consts[r] * det
-            for i in range(k):
-                acc += coefs[r, i] * numer[i]
-            if acc < 0:
-                feasible = False
-                break
-        if feasible:
-            return s
-    return -1

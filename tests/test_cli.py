@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hivecomb import cli, lift
+from hivecomb import cli
 from hivecomb.diagram import canonical_diagram, diagram
 from hivecomb.hive import Hive, enumerate_lattice_hives
 from hivecomb.honeycomb import build_gl_tinkertoy, standard_configuration
@@ -23,6 +23,11 @@ def run(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def one_line_exit_2(result):
+    code, out, err = result
+    return (code, out) == (2, "") and err.count("\n") == 1
 
 
 def std(n):
@@ -234,6 +239,18 @@ class TestRender:
         path.write_text("{nope")
         assert run("render", str(path), "-o", "/dev/null")[0] == 2
 
+    @pytest.mark.parametrize("payload", [
+        [1], "abc",
+        [{"base": ["0", "0"], "direction": "NE", "length": "2"}],
+        [{"base": ["0", "0", "0"], "direction": ["NE"], "length": "2"}],
+        [{"base": ["0", "0", "0"], "direction": "NE", "length": 2.5}],
+        {"type": 5, "positions": []},
+        {"type": [1, 0, 1, 0, 1, 0], "positions": [["0", "0"]]},
+    ])
+    def test_wrong_shape_exits_2(self, tmp_path, payload):
+        path = save(tmp_path, "bad.json", payload)
+        assert one_line_exit_2(run("render", path, "-o", "/dev/null"))
+
     def test_loose_end_exits_5(self, tmp_path):
         path = save(tmp_path, "loose.json",
                     [{"base": ["0", "0", "0"], "direction": "NE",
@@ -259,6 +276,22 @@ class TestOverlayCli:
     def test_missing_file_exits_2(self, tmp_path):
         path = save(tmp_path, "h.json", cli.honeycomb_to_json(std(2)))
         assert run("overlay", path, str(tmp_path / "nope.json"))[0] == 2
+
+    def test_wrong_shape_exits_2(self, tmp_path):
+        path = save(tmp_path, "h.json", cli.honeycomb_to_json(std(2)))
+        bad = save(tmp_path, "bad.json", [1])
+        assert one_line_exit_2(run("overlay", path, bad))
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "--lambda", "1,0", "--mu", "1,0"),
+        ("lift", "-n", "3", "--lambda", "2,1,0", "--mu", "2,1,0",
+         "--nu", "-1,-2,-3"),
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, argv):
+        out = str(tmp_path / "missing" / "x.json")
+        assert one_line_exit_2(run(*argv, "-o", out))
 
 
 class TestPrvCli:
@@ -303,6 +336,11 @@ class TestSaturateCheck:
     def test_bad_factor_exits_2(self):
         assert run("saturate-check", "-n", "2", "--N", "0")[0] == 2
 
+    @pytest.mark.parametrize("flags", [("--samples", "5", "--max-entry", "-1"),
+                                       ("--samples", "-5")])
+    def test_negative_flags_exit_2(self, flags):
+        assert one_line_exit_2(run("saturate-check", "-n", "2", *flags))
+
     def test_violation_exits_3(self, monkeypatch):
         flips = iter([True, False])
         monkeypatch.setattr(cli, "exists_lattice_hive",
@@ -329,19 +367,10 @@ class TestFindNonintegralVertexCli:
         assert data["boundary"]["lambda"] == ["1", "0"]
         assert "3/2" in data["hive"]["entries"]
 
-    def test_rank_six_exits_2(self, monkeypatch):
-        # the n=6 subset table, C(45, 10) subsets, is refused before it is
-        # listed; listing it would fill memory, so any listing fails here
-        def refuse(*args):
-            raise AssertionError("subsets listed before the size check")
-
-        monkeypatch.setattr(lift, "itertools",
-                            SimpleNamespace(combinations=refuse))
+    def test_rank_six_certifies_none(self):
         code, out, err = run("find-nonintegral-vertex", "-n", "6",
-                             "--entry-bound", "1")
-        assert (code, out) == (2, "")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert "C(45, 10)" in err
+                             "--entry-bound", "1", "--limit", "25")
+        assert (code, out, err) == (0, "none\n", "")
 
 
 class TestSeedPlumbing:

@@ -1,5 +1,6 @@
 """Hive arrays: rhombus inequalities, counting, and honeycomb duality."""
 
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hivecomb import (BoundaryTriple, Hive, HiveShape, RhombusViolation,
                       hive_to_honeycomb, honeycomb_to_hive, rhombi,
                       rhombus_value, sigma_to_nu)
 from hivecomb.hive import hive_index_of, root_of
+from hivecomb.oracles import lr_coefficient_tableaux
 from hivecomb import _kernels
 from hivecomb.hive import _flat, _plan
 from kernel_reference import count_dfs
@@ -308,6 +310,22 @@ class TestGT:
     def test_nonintegral_rejected(self):
         with pytest.raises(ValueError):
             count_gt_patterns(("1/2", 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dominant_vectors(4, -2, 2, 0),
+    lambda: count_gt_patterns((3, 1, 0)),
+    lambda: lr_coefficient_tableaux((2, 1), (2, 1), (3, 2, 1)),
+], ids=["dominant_vectors", "count_gt_patterns", "lr_coefficient_tableaux"])
+def test_no_reference_cycles(call):
+    """The recursive walks leave nothing for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 class TestHoneycombDuality:

@@ -1,8 +1,10 @@
 """Weighted-perimeter lifts: weights, inflation, molts, and the LP driver."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +23,10 @@ from hivecomb.hive import HiveShape, exists_lattice_hive, root_of
 from hivecomb.oracles import enumerate_polytope_vertices
 from hivecomb.plane import PlanePoint
 from hivecomb.reconstruct import HalfEdge, PostElisionGraph
-from hivecomb import _kernels
 from hivecomb import lift as lift_module
-from hivecomb.lift import _lp_rows, _vertex_plan
+from hivecomb.lift import _lp_rows, _vertices
 from hivecomb.weights import boundary_grid
 from hivecomb.simplex import maximize
-from kernel_reference import vertex_scan_loop
 
 F = Fraction
 
@@ -557,11 +557,33 @@ class TestNonintegralVertex:
                  zip(WITNESS_ENTRIES, hive_indices(5))]
         assert entries(got[1]) == moved
 
-    def test_vertex_scan_range_check(self):
-        """Rhombus constants past the derived int64 limit raise instead of
-        wrapping inside vertex_scan."""
-        with pytest.raises(OverflowError, match="vertex scan"):
-            find_nonintegral_vertex(5, 2, boundaries=[WITNESS.scaled(2 ** 52)])
+    def test_scaled_witness(self):
+        """Scaling the boundary scales every vertex: by 3 the half-integral
+        entries stay fractional, by 2^52 every vertex is integral."""
+        got = find_nonintegral_vertex(5, 2, boundaries=[WITNESS.scaled(3)])
+        assert got is not None and got[0] == WITNESS.scaled(3)
+        assert entries(got[1]) == [3 * v for v in WITNESS_ENTRIES]
+        assert find_nonintegral_vertex(
+            5, 2, boundaries=[WITNESS.scaled(2 ** 52)]) is None
+
+    def test_first_in_subset_order_among_hits(self):
+        """Of several nonintegral vertices the hunt returns the one whose
+        first nonsingular subset of tight rows, in subset order, comes
+        first: the vertex a scan over all row subsets meets first."""
+        t = BoundaryTriple((3, 3, 1, 0, -2), (3, 1, -1, -2, -3),
+                           (2, 1, -1, -2, -3))
+        inter, _, rows = _lp_rows(t)
+        firsts = {}
+        for h in polytope_vertices(t):
+            x = [h[p] for p in inter]
+            tight = [r for r, (coef, const) in enumerate(rows) if any(coef)
+                     and sum(c * v for c, v in zip(coef, x)) + const == 0]
+            firsts[next(sub for sub in itertools.combinations(tight, 6)
+                        if round(np.linalg.det([rows[r][0] for r in sub])))
+                   ] = h
+        hits = [firsts[f] for f in sorted(firsts) if not firsts[f].is_integral]
+        assert len(hits) == 3 and hits[0] != min(hits, key=entries)
+        assert find_nonintegral_vertex(5, 3, boundaries=[t]) == (t, hits[0])
 
     def test_boundary_grid(self):
         grid = list(boundary_grid(3, 2, 2))
@@ -576,25 +598,34 @@ class TestNonintegralVertex:
         assert a == b
 
 
-class TestKernelParity:
-    def test_vertex_scan_backends_agree(self):
-        import itertools
+def polytope_vertices(t):
+    """The vertices `_vertices` finds over t, as sorted hives."""
+    inter, bvals, rows = _lp_rows(t)
+    rows = [(coef, int(const)) for coef, const in rows]
+    out = []
+    for x, s, _ in _vertices(rows, int(min(bvals.values()))):
+        at = {**bvals, **{p: F(v, s) for p, v in zip(inter, x)}}
+        out.append(Hive(t.n, [at[p] for p in hive_indices(t.n)]))
+    return sorted(out, key=lambda h: h.entries)
 
-        import numpy as np
 
-        from hivecomb.hive import _flat, _plan, boundary_from_weights
-        coefs, sub_rows, sub_adj, sub_det, _ = _vertex_plan(5)
-        quads = _plan(5).quads
-        picks = list(itertools.islice(boundary_grid(5, 2, 2), 6)) + [WITNESS]
-        for t in picks:
-            row = np.zeros(21, np.int64)
-            for p, v in boundary_from_weights(t).items():
-                row[_flat(*p)] = int(v)
-            consts = row[quads] @ np.array([1, 1, -1, -1])
-            args = (coefs, consts, sub_rows, sub_adj, sub_det)
-            got = _kernels.vertex_scan(*args)
-            assert got == vertex_scan_loop(*args)
-            assert (got >= 0) == (t == WITNESS)
+def test_vertices_match_oracle():
+    rng = random.Random(8)
+    draws = [feasible_boundary(n, rng, 3) for n in (3, 4) for _ in range(5)]
+    regular = []
+    while len(regular) < 4:
+        t = feasible_boundary(4, rng, 8)
+        if t.regular:
+            regular.append(t)
+    # lam x trivial is lam alone, so sigma = (1, 1, 0, 0) has no hive
+    empty = BoundaryTriple((2, 0, 0, 0), (0, 0, 0, 0), (0, 0, -1, -1))
+    cases = list(boundary_grid(4, 1, 1)) + draws + regular + [empty]
+    sizes = set()
+    for t in cases:
+        got = polytope_vertices(t)
+        assert got == enumerate_polytope_vertices(t), t
+        sizes.add(len(got))
+    assert polytope_vertices(empty) == [] and max(sizes) == 10
 
 
 @given(st.integers(0, 2 ** 32))
