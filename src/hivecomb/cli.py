@@ -18,7 +18,7 @@ from .errors import (HivecombError, Infeasible, NotADiagram, NotDominant,
                      ZeroSumViolation)
 from .hive import (Hive, count_lattice_hives, count_gt_patterns,
                    decompose_tensor_product, exists_lattice_hive,
-                   hive_indices, hive_to_honeycomb)
+                   hive_indices)
 from .honeycomb import (Honeycomb, build_tinkertoy_from_type,
                         validate_configuration)
 from .lift import find_nonintegral_vertex, largest_lift, make_weight_function
@@ -43,12 +43,17 @@ def default_seed():
     return int(os.environ.get("HIVECOMB_SEED", "0"))
 
 
+def weights_from_args(args, *texts):
+    """Parse weight flags, each checked against -n when it is given."""
+    ws = [parse_weight(text) for text in texts]
+    for w in ws:
+        if args.n is not None and len(w) != args.n:
+            raise ValueError(f"weights have {len(w)} parts, -n says {args.n}")
+    return ws
+
+
 def triple_from_args(args):
-    t = BoundaryTriple(parse_weight(args.lam), parse_weight(args.mu),
-                       parse_weight(args.nu))
-    if args.n is not None and t.n != args.n:
-        raise ValueError(f"weights have {t.n} parts, -n says {args.n}")
-    return t
+    return BoundaryTriple(*weights_from_args(args, args.lam, args.mu, args.nu))
 
 
 # ---------------------------------------------------------------- JSON I/O
@@ -221,8 +226,8 @@ def cmd_lr_count(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    table = decompose_tensor_product(parse_weight(args.lam),
-                                     parse_weight(args.mu))
+    table = decompose_tensor_product(*weights_from_args(args, args.lam,
+                                                        args.mu))
     lines = []
     for sigma in sorted(table, reverse=True):
         sig = ",".join(str(x) for x in sigma)
@@ -253,7 +258,7 @@ def cmd_overlay(args) -> int:
 
 
 def cmd_prv(args) -> int:
-    h = prv_witness(parse_weight(args.lam), parse_weight(args.mu),
+    h = prv_witness(*weights_from_args(args, args.lam, args.mu),
                     [int(x) for x in args.w.split(",")],
                     [int(x) for x in args.v.split(",")])
     _emit(json.dumps(honeycomb_to_json(h), indent=2), args.output)

@@ -12,24 +12,16 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import NotADiagram, TensionViolation, UnknownPattern
-from .honeycomb import Honeycomb, Tinkertoy
+from .honeycomb import DualGraph, Honeycomb, Partition, Tinkertoy
 from .plane import (AXIS_POSITIVE, DIRECTION_ORDER, INF, Direction,
-                    PlanePoint, SegmentOrRay, constant_coordinate, coord)
+                    PlanePoint, SegmentOrRay, constant_coordinate, coord,
+                    point_with, tension)
 
 #: Vertex kinds in increasing ray count.
 VERTEX_KINDS = ("Y", "inverted-Y", "crossing", "rake", "5-valent", "6-valent")
 
 _RAKE_SUPPORTS = tuple(frozenset({i, (i + 1) % 6, (i + 2) % 6, (i + 4) % 6})
                        for i in range(6))
-
-
-def tension(mults) -> tuple:
-    """Sum of multiplicity-weighted ray steps; zero for honest vertices."""
-    out = [0, 0, 0]
-    for m, d in zip(mults, DIRECTION_ORDER):
-        for i in range(3):
-            out[i] += m * d.step[i]
-    return tuple(out)
 
 
 def classify_vertex(mults) -> str:
@@ -121,12 +113,8 @@ class _LineProfile:
         self.mults = [coord(m) for m in mults]
 
     def point(self, t) -> PlanePoint:
-        coords = [None, None, None]
-        coords[self.axis] = self.constant
-        d = AXIS_POSITIVE[self.axis]
-        coords[d.param_axis] = t
-        coords[3 - self.axis - d.param_axis] = -self.constant - t
-        return PlanePoint(*coords)
+        return point_with(self.axis, self.constant,
+                          AXIS_POSITIVE[self.axis].param_axis, t)
 
     def mult_beside(self, t, side: int):
         """Multiplicity immediately above (side=+1) or below (side=-1) t."""
@@ -223,13 +211,8 @@ def canonical_diagram(pieces) -> Diagram:
     keys = list(profiles)
     for i, (a1, c1) in enumerate(keys):
         for a2, c2 in keys[i + 1:]:
-            if a1 == a2:
-                continue
-            coords = [None, None, None]
-            coords[a1] = c1
-            coords[a2] = c2
-            coords[3 - a1 - a2] = -c1 - c2
-            candidates.add(PlanePoint(*coords))
+            if a1 != a2:
+                candidates.add(point_with(a1, c1, a2, c2))
 
     vertices = []
     for p in sorted(candidates, key=_point_key):
@@ -331,30 +314,17 @@ class DegeneracyGraph:
 
 
 def degeneracy_graph(h: Honeycomb) -> DegeneracyGraph:
-    from .honeycomb import DualGraph
-
     dual = DualGraph(h.tinkertoy)
     degenerate = set(h.degenerate_edges)
     kept, dropped = [], []
     for e, pair in dual.dual_of.items():
         (dropped if e in degenerate else kept).append(pair)
 
-    parent = {v: v for v in h.tinkertoy.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    collapsed = Partition(h.tinkertoy.vertices)
     for e in degenerate:
-        parent[find(e.tail)] = find(e.head)
-
-    classes = {}
-    for v in h.tinkertoy.vertices:
-        classes.setdefault(find(v), set()).add(v)
+        collapsed.union(e.tail, e.head)
     regions = []
-    for members in sorted(classes.values(), key=min):
+    for members in sorted(collapsed.classes(), key=min):
         # a region is itself a tinkertoy (collapsing cannot strand part
         # of a hexagon), and its boundary census balances
         sub = Tinkertoy(members)

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import RhombusViolation
-from .honeycomb import (EDGE_DIRS, Honeycomb, build_gl_tinkertoy, dual_graph,
-                        is_head, validate_configuration)
+from .honeycomb import (Honeycomb, Partition, _add, _sub, build_gl_tinkertoy,
+                        dual_graph, triangle, validate_configuration)
 from .plane import coord, frac, perp_step
 from .weights import (BoundaryTriple, as_weight, dominant_vectors, is_integral,
                       sigma_to_nu)
@@ -87,6 +87,14 @@ def _rhombus_at(p, s):
     return Rhombus((p, (p[0] + s[0], p[1] + s[1])),
                    ((p[0] + apex[0][0], p[1] + apex[0][1]),
                     (p[0] + apex[1][0], p[1] + apex[1][1])))
+
+
+def _rhombus_between(p, q):
+    """The rhombus whose obtuse corners are the adjacent entries p and q."""
+    s = (q[0] - p[0], q[1] - p[1])
+    if s in _APEX:
+        return _rhombus_at(p, s)
+    return _rhombus_at(q, (-s[0], -s[1]))
 
 
 class _Plan(NamedTuple):
@@ -199,13 +207,11 @@ class Hive:
         return self.first_violation() is None
 
     def boundary_triple(self) -> BoundaryTriple:
-        n = self.n
-        lam = tuple(self.value(i, 0) - self.value(i - 1, 0) for i in range(1, n + 1))
-        mu = tuple(self.value(n - t, t) - self.value(n - t + 1, t - 1)
-                   for t in range(1, n + 1))
-        nu = tuple(self.value(0, n - k) - self.value(0, n - k + 1)
-                   for k in range(1, n + 1))
-        return BoundaryTriple(lam, mu, nu)
+        """Consecutive differences around the clockwise boundary walk."""
+        n, e = self.n, self.entries
+        loop = (0, *_plan(n).walk, 0)
+        steps = [e[b] - e[a] for a, b in zip(loop, loop[1:])]
+        return BoundaryTriple(steps[:n], steps[n:2 * n], steps[2 * n:])
 
     def replaced(self, ij, v) -> "Hive":
         ent = list(self.entries)
@@ -272,17 +278,13 @@ def hive_to_honeycomb(H: Hive) -> Honeycomb:
     # boundary, go in as ints, so the honeycomb is built in int arithmetic
     at_root = {root_of(n, i, j): coord(H.value(i, j))
                for i, j in hive_indices(n)}
+    # the dual points of a vertex sit one below, level with and one above
+    # it on each axis; that coordinate is the entry below minus the one above
     pos = {}
     for v in t.sorted_vertices:
-        sign = 1 if is_head(v) else -1
-        offs = [tuple(sign * s for s in d.step) for d in EDGE_DIRS]
-        coords = []
-        for axis in range(3):
-            minus = next(o for o in offs if o[axis] == -1)
-            plus = next(o for o in offs if o[axis] == 1)
-            coords.append(at_root[tuple(v[k] + minus[k] for k in range(3))]
-                          - at_root[tuple(v[k] + plus[k] for k in range(3))])
-        pos[v] = tuple(coords)
+        tri = triangle(v)
+        pos[v] = tuple(sum((v[a] - p[a]) * at_root[p] for p in tri)
+                       for a in range(3))
     return validate_configuration(t, pos)
 
 
@@ -298,10 +300,8 @@ def honeycomb_to_hive(h: Honeycomb) -> Hive:
     std = build_gl_tinkertoy(n)
     if h.tinkertoy != std:
         # relabel vertices onto the standard tinkertoy, keeping positions
-        shift = tuple(a - b for a, b in
-                      zip(std.sorted_vertices[0], h.tinkertoy.sorted_vertices[0]))
-        pos = {tuple(c + s for c, s in zip(v, shift)): h.position(v)
-               for v in h.tinkertoy.vertices}
+        shift = _sub(std.sorted_vertices[0], h.tinkertoy.sorted_vertices[0])
+        pos = {_add(v, shift): h.position(v) for v in h.tinkertoy.vertices}
         return honeycomb_to_hive(validate_configuration(std, pos))
     dg = dual_graph(std)
     start = root_of(n, 0, 0)
@@ -312,13 +312,11 @@ def honeycomb_to_hive(h: Honeycomb) -> Hive:
         p, q = dg.dual_of[e]
         c = h.edge_constant(e)
         d = perp_step(e.direction)
-        if tuple(a - b for a, b in zip(p, q)) == d:
-            steps.setdefault(p, []).append((q, -c, e))
-            steps.setdefault(q, []).append((p, c, e))
-        else:
-            assert tuple(a - b for a, b in zip(q, p)) == d
-            steps.setdefault(q, []).append((p, -c, e))
-            steps.setdefault(p, []).append((q, c, e))
+        if _sub(p, q) != d:
+            p, q = q, p
+        assert _sub(p, q) == d
+        steps.setdefault(p, []).append((q, -c, e))
+        steps.setdefault(q, []).append((p, c, e))
     while queue:
         p = queue.pop()
         for q, delta, e in steps[p]:
@@ -458,28 +456,12 @@ def flatspace_decomposition(H: Hive):
     n = H.n
     t = build_gl_tinkertoy(n)
     dg = dual_graph(t)
-    parent = {v: v for v in t.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    flats = Partition(t.vertices)
     for e in t.finite_edges:
         p, q = (hive_index_of(n, x) for x in dg.dual_of[e])
-        s = (q[0] - p[0], q[1] - p[1])
-        if s not in _APEX:
-            p, q = q, p
-            s = (q[0] - p[0], q[1] - p[1])
-        if rhombus_value(H, _rhombus_at(p, s)) == 0:
-            a, b = find(e.tail), find(e.head)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups = {}
-    for v in t.vertices:
-        groups.setdefault(find(v), set()).add(v)
-    return frozenset(frozenset(g) for g in groups.values())
+        if rhombus_value(H, _rhombus_between(p, q)) == 0:
+            flats.union(e.tail, e.head)
+    return frozenset(frozenset(g) for g in flats.classes())
 
 
 def count_gt_patterns(lam) -> int:
@@ -498,11 +480,6 @@ def _gt_below(row, memo):
         ranges = [range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)]
         memo[row] = sum(_gt_below(nxt, memo) for nxt in product(*ranges))
     return memo[row]
-
-
-def _rh(H, p, q):
-    s = (q[0] - p[0], q[1] - p[1])
-    return rhombus_value(H, _rhombus_at(p, s))
 
 
 def bz_rows(n):
@@ -529,11 +506,15 @@ def bz_pattern(h: Honeycomb) -> dict:
     """
     H = honeycomb_to_hive(h)
     n = H.n
+
+    def rh(p, q):
+        return rhombus_value(H, _rhombus_between(p, q))
+
     out = {}
     for i, j in HiveShape(n).interior():
-        out[(i, j)] = _rh(H, (i - 1, j), (i, j)) - _rh(H, (i, j), (i + 1, j))
+        out[(i, j)] = rh((i - 1, j), (i, j)) - rh((i, j), (i + 1, j))
     for c in range(1, n):
-        out[(c, 0)] = _rh(H, (c, 0), (c, 1))
-        out[(n - c, c)] = _rh(H, (n - c - 1, c), (n - c, c))
-        out[(0, c)] = _rh(H, (0, c), (1, c - 1))
+        out[(c, 0)] = rh((c, 0), (c, 1))
+        out[(n - c, c)] = rh((n - c - 1, c), (n - c, c))
+        out[(0, c)] = rh((0, c), (1, c - 1))
     return out

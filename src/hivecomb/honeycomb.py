@@ -6,6 +6,11 @@ its three edges.  Vertices with 2i+j = 2 mod 3 are tails; their edges point to
 the three heads one lattice step away.  A configuration (honeycomb) places
 every vertex in B so that each edge keeps its direction and has nonnegative
 length.
+
+The shared lattice helpers live here: the 3-vector `_add` and `_sub` and the
+2-D `_cross2`, `triangle` (the dual points around a vertex), `dual_sides`
+(the counterclockwise walk around a type's dual region) and `Partition`
+(the union-find behind every class of collapsed or connected items).
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from functools import cache
 from typing import Optional
 
 from .errors import DirectionViolation, TypeDoesNotClose
-from .plane import (AXIS_POSITIVE, DIRECTION_ORDER, E, NW, SW, Direction,
-                    PlanePoint, coord, perp_step)
+from .plane import (DIRECTION_ORDER, E, NW, SW, Direction, PlanePoint, coord,
+                    perp_step, tension)
 from .weights import BoundaryTriple
 
 #: Edge directions, tail to head.
@@ -36,6 +41,39 @@ def _add(p, s):
 
 def _sub(p, s):
     return (p[0] - s[0], p[1] - s[1], p[2] - s[2])
+
+
+def _cross2(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+class Partition:
+    """Union-find over a fixed set of hashable items."""
+
+    def __init__(self, items):
+        self._parent = {v: v for v in items}
+
+    def find(self, v):
+        parent = self._parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(self, a, b) -> bool:
+        """Join the classes of a and b; False when they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self._parent[ra] = rb
+        return True
+
+    def classes(self) -> list:
+        """Each class as a set, in the order of its first item."""
+        out = {}
+        for v in self._parent:
+            out.setdefault(self.find(v), set()).add(v)
+        return list(out.values())
 
 
 def is_lattice_vertex(p) -> bool:
@@ -206,36 +244,39 @@ def build_gl_tinkertoy(n: int) -> Tinkertoy:
     return t
 
 
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+def dual_sides(census) -> dict:
+    """Start and end corner of each side of a type's dual region, keyed by
+    ray class, walking counterclockwise from the origin (one side per
+    nonzero census entry)."""
+    sides = {}
+    cur = (0, 0, 0)
+    for idx in CCW_CLASSES:
+        m = census[idx]
+        if m == 0:
+            continue
+        nxt = _add(cur, tuple(m * s for s in perp_step(DIRECTION_ORDER[idx])))
+        sides[idx] = (cur, nxt)
+        cur = nxt
+    return sides
 
 
 def dual_polygon(census):
     """Corner points of the convex dual region of a boundary type.
 
-    Walks counterclockwise from the origin, one side per nonzero census
-    entry; raises TypeDoesNotClose when the walk fails to close or the
-    region has no area.
+    The corners are the starts of the `dual_sides` walk; raises
+    TypeDoesNotClose when the walk fails to close or the region has no area.
     """
     census = tuple(int(c) for c in census)
     if len(census) != 6 or any(c < 0 for c in census):
         raise ValueError("a type is six nonnegative integers")
     if all(c == 0 for c in census):
         raise TypeDoesNotClose("all six ray counts are zero")
-    total = (0, 0, 0)
-    for i, c in enumerate(census):
-        total = _add(total, tuple(c * s for s in DIRECTION_ORDER[i].step))
+    total = tension(census)
     if total != (0, 0, 0):
         raise TypeDoesNotClose(f"ray tensions sum to {total}, not zero")
-    corners = [(0, 0, 0)]
-    for idx in CCW_CLASSES:
-        m = census[idx]
-        if m == 0:
-            continue
-        side = tuple(m * s for s in perp_step(DIRECTION_ORDER[idx]))
-        corners.append(_add(corners[-1], side))
-    assert corners[-1] == corners[0]
-    corners.pop()
+    sides = list(dual_sides(census).values())
+    assert sides[-1][1] == (0, 0, 0)
+    corners = [start for start, _ in sides]
     area2 = sum(_cross2(corners[i], corners[(i + 1) % len(corners)])
                 for i in range(len(corners)))
     if area2 == 0:
@@ -258,13 +299,6 @@ def triangle(v) -> tuple:
     pts = ([_add(v, s) for s in steps] if is_head(v)
            else [_sub(v, s) for s in steps])
     return tuple(sorted(pts))
-
-
-def centroid_vertex(tri) -> tuple:
-    """The lattice vertex whose dual triangle this is."""
-    v = tuple(sum(p[i] for p in tri) // 3 for i in range(3))
-    assert triangle(v) == tuple(sorted(tri))
-    return v
 
 
 def vertices_in_dual_region(corners):
@@ -395,11 +429,10 @@ def validate_configuration(tinkertoy: Tinkertoy, positions) -> Honeycomb:
     for e in tinkertoy.finite_edges:
         a, b = pos[e.tail], pos[e.head]
         delta = (b.x - a.x, b.y - a.y, b.z - a.z)
-        step = e.direction.step
-        pivot = next(i for i in range(3) if step[i] != 0)
-        t = coord(delta[pivot] * step[pivot])  # step entries are +-1
-        if any(delta[i] != t * step[i] for i in range(3)):
+        t = e.direction.multiple(delta)
+        if t is None:
             raise DirectionViolation(e, f"displacement {delta} is off-axis")
+        t = coord(t)
         if t < 0:
             raise DirectionViolation(e, f"length {t} is negative")
         lengths[e] = t
@@ -412,13 +445,12 @@ def standard_configuration(t: Tinkertoy) -> Honeycomb:
 
 
 def dual_pair(e: Edge) -> tuple:
-    """The two dual-graph points separated by (the line of) an edge."""
-    others = [d for d in EDGE_DIRS if d is not e.direction]
-    if e.head is not None:
-        pts = [_add(e.head, d.step) for d in others]
-    else:
-        pts = [_sub(e.tail, d.step) for d in others]
-    return tuple(sorted(pts))
+    """The two dual-graph points separated by (the line of) an edge: its
+    anchor's triangle without the point across the anchor from the edge."""
+    v = e.anchor
+    across = (_add(v, e.direction.step) if e.head is not None
+              else _sub(v, e.direction.step))
+    return tuple(p for p in triangle(v) if p != across)
 
 
 class DualGraph:

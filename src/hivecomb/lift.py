@@ -26,10 +26,10 @@ from functools import lru_cache
 from .diagram import diagram
 from .errors import (DegenerateOptimum, HasCycle, NotDegenerate,
                      NotSimplyDegenerate, RhombusViolation)
-from .hive import (Hive, HiveShape, _plan, _rhombus_at, boundary_from_weights,
-                   hive_indices, hive_to_honeycomb, rhombi, rhombus_value,
-                   root_of)
-from .honeycomb import build_tinkertoy_from_type, dual_graph
+from .hive import (Hive, HiveShape, _plan, _rhombus_between,
+                   boundary_from_weights, hive_indices, hive_to_honeycomb,
+                   rhombi, rhombus_value, root_of)
+from .honeycomb import _add, build_tinkertoy_from_type, dual_graph
 from .plane import DIRECTION_ORDER, frac
 from .reconstruct import elide
 from .simplex import maximize
@@ -156,12 +156,8 @@ def wperim(w: WeightFunction, H: Hive) -> Fraction:
         raise ValueError("hive size does not match the weight function")
     total = Fraction(0)
     for p, wp in w.values.items():
-        perim = Fraction(0)
-        for q in _neighbors(p):
-            s = (q[0] - p[0], q[1] - p[1])
-            r = _rhombus_at(p, s) if s in ((0, 1), (1, 0), (1, -1)) \
-                else _rhombus_at(q, (-s[0], -s[1]))
-            perim += rhombus_value(H, r)
+        perim = sum(rhombus_value(H, _rhombus_between(p, q))
+                    for q in _neighbors(p))
         total += wp * perim
     return total
 
@@ -280,9 +276,7 @@ def molt_regions(m, v) -> frozenset:
         raise NotDegenerate(f"nothing to molt at a simple {kind} vertex")
 
     pts = dual_graph(build_tinkertoy_from_type(census)).points
-    hexes = {p for p in pts
-             if all(tuple(a + b for a, b in zip(p, s)) in pts
-                    for s in _ROOT_STEPS)}
+    hexes = {p for p in pts if all(_add(p, s) in pts for s in _ROOT_STEPS)}
     sides = {}
     for k in range(6):
         if census[k] == 0:
@@ -583,7 +577,12 @@ def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,
     (boundary, hive) pair; None certifies no such vertex exists in range.
     Below n = 4 there is at most one interior entry, each row's coefficient
     is 0 or +-1, and every vertex is integral, so nothing is scanned.
+    ValueError for n < 1, a negative entry_bound or a limit below 1: no
+    range is scanned there, so no answer certifies anything.
     """
+    if n < 1 or entry_bound < 0 or (limit is not None and limit < 1):
+        raise ValueError(f"need n >= 1, entry_bound >= 0 and limit >= 1; got "
+                         f"n={n}, entry_bound={entry_bound}, limit={limit}")
     if n <= 3:
         return None
     if boundaries is None:

@@ -5,6 +5,11 @@ when it is integral and a Fraction otherwise (`coord`), and no float ever
 enters a geometric predicate.  Integral honeycombs, among them every largest
 lift over an integral regular boundary, so run on Python ints.  Only the six
 lattice directions are supported.
+
+The shared lattice helpers live here: `point_with` fills in the third
+coordinate of a point from two fixed ones, `Direction.multiple` reads a
+displacement as a multiple of a direction's step, and `tension` sums the six
+steps weighted by multiplicities.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ def coord(v):
 class Infinity:
     """Dedicated +infinity tag for semi-infinite edge lengths.
 
-    Not a number and never compared equal to one; supports just enough
-    arithmetic/ordering for interval work on segment lengths.
+    Not a number and never compared equal to one; it only orders above
+    every finite length.
     """
 
     _instance = None
@@ -71,28 +76,6 @@ class Infinity:
 
     def __le__(self, other):
         return other is self
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other is self:
-            raise ArithmeticError("inf - inf")
-        return self
-
-    def __mul__(self, other):
-        if other == 0:
-            raise ArithmeticError("inf * 0")
-        if other < 0:
-            raise ArithmeticError("negative multiple of inf")
-        return self
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        raise ArithmeticError("lengths are never negative")
 
 
 INF = Infinity()
@@ -167,6 +150,14 @@ class Direction:
         """+1 if the canonical parameter increases along this step."""
         return 1 if self.step[self.param_axis] > 0 else -1
 
+    def multiple(self, delta):
+        """t with delta == t * step, or None when delta is off this axis."""
+        a, b, c = self.step
+        t = delta[0] * a if a else delta[1] * b  # step entries are 0 or +-1
+        if (delta[0], delta[1], delta[2]) != (t * a, t * b, t * c):
+            return None
+        return t
+
     def opposite(self) -> "Direction":
         return _OPPOSITE[self.name]
 
@@ -190,6 +181,23 @@ _OPPOSITE = {"NE": SW, "SW": NE, "NW": SE, "SE": NW, "E": W, "W": E}
 #: Canonical positive direction on lines of each constant axis
 #: (the step that increases the canonical parameter).
 AXIS_POSITIVE = {0: NE, 1: SE, 2: W}
+
+
+def tension(mults) -> tuple:
+    """Sum of the six unit steps weighted by mults (DIRECTION_ORDER); zero
+    for a balanced vertex and for a type whose dual region closes."""
+    return tuple(sum(m * d.step[i] for m, d in zip(mults, DIRECTION_ORDER))
+                 for i in range(3))
+
+
+def point_with(a1, c1, a2, c2) -> PlanePoint:
+    """The point with coordinate c1 on axis a1 and c2 on axis a2; the third
+    coordinate is minus their sum."""
+    coords = [None, None, None]
+    coords[a1] = c1
+    coords[a2] = c2
+    coords[3 - a1 - a2] = -c1 - c2
+    return PlanePoint(*coords)
 
 
 def perp_step(d: Direction) -> tuple:
@@ -248,14 +256,8 @@ class SegmentOrRay:
 
     def point_at_param(self, t) -> PlanePoint:
         """Point on the carrying line with canonical parameter t."""
-        axis = self.direction.constant_axis
-        c = self.constant()
-        coords = [None, None, None]
-        coords[axis] = c
-        coords[self.direction.param_axis] = t
-        rem = 3 - axis - self.direction.param_axis
-        coords[rem] = -c - t
-        return PlanePoint(*coords)
+        d = self.direction
+        return point_with(d.constant_axis, self.constant(), d.param_axis, t)
 
     def __repr__(self):
         tail = "inf" if self.is_ray else str(self.length)
@@ -313,11 +315,7 @@ def intersect(s1: SegmentOrRay, s2: SegmentOrRay):
             return SegmentOrRay(s1.point_at_param(lo), AXIS_POSITIVE[a1], INF)
         return SegmentOrRay(s1.point_at_param(hi), AXIS_POSITIVE[a1].opposite(), INF)
     # transversal: the two constants pin the point
-    coords = [None, None, None]
-    coords[a1] = c1
-    coords[a2] = c2
-    coords[3 - a1 - a2] = -c1 - c2
-    p = PlanePoint(*coords)
+    p = point_with(a1, c1, a2, c2)
     if _contains_param(s1, p) and _contains_param(s2, p):
         return p
     return None

@@ -12,40 +12,18 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, DiagramVertex, canonical_diagram, diagram
+from .diagram import Diagram, canonical_diagram, degeneracy_graph, diagram
 from .errors import (DirectionViolation, EpsilonTooLarge, NotADiagram,
                      NotDominant, NotSimplyDegenerate, ParallelLinesOnly,
                      TypeDoesNotClose)
-from .honeycomb import (CCW_CLASSES, Honeycomb, Tinkertoy,
-                        build_tinkertoy_from_type, validate_configuration)
+from .honeycomb import (Honeycomb, Partition, _add, _cross2, _sub,
+                        build_tinkertoy_from_type, dual_sides,
+                        validate_configuration)
 from .plane import (DIRECTION_ORDER, INF, Direction, PlanePoint,
-                    SegmentOrRay, coord, frac, perp_step)
+                    SegmentOrRay, coord, frac)
 from .weights import as_weight
 
 _DIR_INDEX = {d.name: i for i, d in enumerate(DIRECTION_ORDER)}
-
-
-def _polygon_sides(census):
-    """Start and end corner of each dual-region side, keyed by ray class."""
-    sides = {}
-    cur = (0, 0, 0)
-    for idx in CCW_CLASSES:
-        m = census[idx]
-        if m == 0:
-            continue
-        s = perp_step(DIRECTION_ORDER[idx])
-        nxt = (cur[0] + m * s[0], cur[1] + m * s[1], cur[2] + m * s[2])
-        sides[idx] = (cur, nxt)
-        cur = nxt
-    return sides
-
-
-def _vsub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _vadd(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def reconstruct(m: Diagram) -> Honeycomb:
@@ -65,14 +43,7 @@ def reconstruct(m: Diagram) -> Honeycomb:
     at = {v.location: i for i, v in enumerate(m.vertices)}
     nverts = len(m.vertices)
     adj = [[] for _ in range(nverts)]
-    parent = list(range(nverts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    support = Partition(range(nverts))
     for s in m.segments:
         if s.is_ray:
             assert s.base in at
@@ -80,8 +51,8 @@ def reconstruct(m: Diagram) -> Honeycomb:
         a, b = at[s.base], at[s.end]
         adj[a].append((b, s.direction))
         adj[b].append((a, s.direction.opposite()))
-        parent[find(a)] = find(b)
-    if len({find(i) for i in range(nverts)}) > 1:
+        support.union(a, b)
+    if len(support.classes()) > 1:
         raise NotADiagram("disconnected", "support has several components")
 
     census = m.ray_census()
@@ -91,11 +62,11 @@ def reconstruct(m: Diagram) -> Honeycomb:
     except TypeDoesNotClose as ex:
         raise NotADiagram("tension", str(ex)) from ex
 
-    local = {}  # census -> (tinkertoy, polygon sides), shared across vertices
+    local = {}  # census -> (tinkertoy, dual sides), shared across vertices
     for v in m.vertices:
         c = tuple(int(x) for x in v.mults)
         if c not in local:
-            local[c] = (build_tinkertoy_from_type(c), _polygon_sides(c))
+            local[c] = (build_tinkertoy_from_type(c), dual_sides(c))
 
     # walk the finite pieces, pinning each region's translation
     trans = {0: (0, 0, 0)}
@@ -107,8 +78,8 @@ def reconstruct(m: Diagram) -> Honeycomb:
             cb = tuple(int(x) for x in m.vertices[b].mults)
             ci = _DIR_INDEX[d.name]
             co = _DIR_INDEX[d.opposite().name]
-            t = _vadd(trans[a],
-                      _vsub(local[ca][1][ci][1], local[cb][1][co][0]))
+            t = _add(trans[a],
+                     _sub(local[ca][1][ci][1], local[cb][1][co][0]))
             if b in trans:
                 if trans[b] != t:
                     raise NotADiagram(
@@ -122,19 +93,19 @@ def reconstruct(m: Diagram) -> Honeycomb:
     for i, v in enumerate(m.vertices):
         c = tuple(int(x) for x in v.mults)
         for w in local[c][0].vertices:
-            wp = _vadd(w, trans[i])
+            wp = _add(w, trans[i])
             if wp in claimed:
                 raise NotADiagram("monodromy",
                                   f"two regions claim lattice vertex {wp}")
             claimed[wp] = i
 
-    delta = _vsub(min(claimed), min(whole.vertices))
+    delta = _sub(min(claimed), min(whole.vertices))
     if ((2 * delta[0] + delta[1]) % 3 != 0
-            or {_vadd(u, delta) for u in whole.vertices} != set(claimed)):
+            or {_add(u, delta) for u in whole.vertices} != set(claimed)):
         raise NotADiagram("monodromy",
                           "regions do not tile the type's dual region")
 
-    pos = {u: m.vertices[claimed[_vadd(u, delta)]].location
+    pos = {u: m.vertices[claimed[_add(u, delta)]].location
            for u in whole.vertices}
     try:
         h = validate_configuration(whole, pos)
@@ -210,21 +181,10 @@ class PostElisionGraph:
         self.edges = tuple(edges)
         self.half_edges = tuple(half_edges)
         self.free_lines = tuple(free_lines)
-        parent = list(range(len(self.nodes)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        acyclic = True
-        for e in self.edges:
-            ra, rb = find(e.a), find(e.b)
-            if ra == rb:
-                acyclic = False
-            parent[ra] = rb
-        self.acyclic = acyclic
+        joined = Partition(range(len(self.nodes)))
+        # a forest joins two classes with every edge; any other edge closes
+        # a cycle
+        self.acyclic = all(joined.union(e.a, e.b) for e in self.edges)
 
     def __repr__(self):
         return (f"PostElisionGraph({len(self.nodes)} nodes, "
@@ -294,10 +254,6 @@ def elide(m: Diagram) -> PostElisionGraph:
     return PostElisionGraph(nodes, edges, half_edges, free_lines)
 
 
-def _cross2_xy(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def breathe_loop(h: Honeycomb, loop, epsilon) -> Honeycomb:
     """Slide the edges of a loop, preserving boundary and all directions.
 
@@ -338,12 +294,12 @@ def breathe_loop(h: Honeycomb, loop, epsilon) -> Honeycomb:
     disp = {}
     for t in range(k):
         a, b = dirs[t - 1], dirs[t]
-        sign = 1 if _cross2_xy(a.step, b.step) < 0 else -1
-        f = _vsub(a.step, b.step)
+        sign = 1 if _cross2(a.step, b.step) < 0 else -1
+        f = _sub(a.step, b.step)
         disp[idxs[t]] = tuple(Fraction(sign * c) for c in f)
 
     # moving chain lines, then crossings carried along by them
-    dgn_regions = _regions_by_location(h)
+    dgn_regions = {r.location: r.members for r in degeneracy_graph(h).regions}
     moves = {}  # tinkertoy vertex -> unit-rate displacement
     for t in range(k):
         u = idxs[t]
@@ -380,34 +336,19 @@ def breathe_loop(h: Honeycomb, loop, epsilon) -> Honeycomb:
     zero = (Fraction(0),) * 3
     rates = {}
     for e in h.tinkertoy.finite_edges:
-        dv = _vsub(moves.get(e.head, zero), moves.get(e.tail, zero))
-        step = e.direction.step
-        pivot = next(i for i in range(3) if step[i] != 0)
-        rate = Fraction(dv[pivot], step[pivot])
-        assert all(dv[i] == rate * step[i] for i in range(3))
+        dv = _sub(moves.get(e.head, zero), moves.get(e.tail, zero))
+        rate = e.direction.multiple(dv)
+        assert rate is not None
         if rate != 0:
             rates[e] = rate
-    if eps > 0:
-        bounds = [Fraction(-h.edge_length(e), r) for e, r in rates.items()
-                  if r < 0]
-        limit = min(bounds, default=None)
-        if limit is not None and eps > limit:
-            raise EpsilonTooLarge(limit)
-    elif eps < 0:
-        bounds = [Fraction(-h.edge_length(e), r) for e, r in rates.items()
-                  if r > 0]
-        limit = max(bounds, default=None)
-        if limit is not None and eps < limit:
-            raise EpsilonTooLarge(limit)
+    # the edges that shrink at this sign of eps; the nearest zero binds
+    bounds = [Fraction(-h.edge_length(e), r) for e, r in rates.items()
+              if r * eps < 0]
+    limit = min(bounds, key=abs, default=None)
+    if limit is not None and abs(eps) > abs(limit):
+        raise EpsilonTooLarge(limit)
 
     pos = {v: h.position(v).translate(tuple(eps * c for c in moves[v]))
            if v in moves else h.position(v)
            for v in h.tinkertoy.vertices}
     return validate_configuration(h.tinkertoy, pos)
-
-
-def _regions_by_location(h: Honeycomb):
-    from .diagram import degeneracy_graph
-
-    dgn = degeneracy_graph(h)
-    return {r.location: r.members for r in dgn.regions}

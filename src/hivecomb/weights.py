@@ -8,7 +8,6 @@ GL_n honeycomb / hive; its total sum must vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import NotDominant, ZeroSumViolation
@@ -113,7 +112,10 @@ def dominant_vectors(n: int, lo: int, hi: int, total=None):
     """All weakly decreasing integer n-vectors with entries in [lo, hi].
 
     With total given, only those summing to it.  Yields tuples of ints.
+    ValueError for a negative n.
     """
+    if n < 0:
+        raise ValueError(f"a weight has at least 0 parts, not {n}")
     out = []
     _dominant_tails(out, [], n, lo, hi, total)
     return out

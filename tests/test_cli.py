@@ -111,6 +111,10 @@ class TestDecompose:
         code, out, _ = run("decompose", "--lambda", "3,1", "--mu", "0,0")
         assert (code, out) == (0, "3,1: 1\n")
 
+    def test_n_disagreeing_with_weights_exits_2(self):
+        assert one_line_exit_2(run("decompose", "-n", "4", "--lambda",
+                                   "2,1,0", "--mu", "2,1,0"))
+
 
 class TestGtCount:
     def test_adjoint(self):
@@ -314,6 +318,10 @@ class TestPrvCli:
                          "--w", "0,0", "--v", "0,1")
         assert code == 2
 
+    def test_n_disagreeing_with_weights_exits_2(self):
+        assert one_line_exit_2(run("prv", "-n", "3", "--lambda", "2,0",
+                                   "--mu", "2,1", "--w", "0,1", "--v", "0,1"))
+
 
 class TestSaturateCheck:
     def test_gl2_grid(self):
@@ -341,6 +349,10 @@ class TestSaturateCheck:
     def test_negative_flags_exit_2(self, flags):
         assert one_line_exit_2(run("saturate-check", "-n", "2", *flags))
 
+    @pytest.mark.parametrize("flags", [(), ("--samples", "3")])
+    def test_negative_rank_exits_2(self, flags):
+        assert one_line_exit_2(run("saturate-check", "-n", "-1", *flags))
+
     def test_violation_exits_3(self, monkeypatch):
         flips = iter([True, False])
         monkeypatch.setattr(cli, "exists_lattice_hive",
@@ -353,6 +365,12 @@ class TestSaturateCheck:
 class TestFindNonintegralVertexCli:
     def test_small_rank_certifies_none(self):
         assert run("find-nonintegral-vertex", "-n", "3") == (0, "none\n", "")
+
+    @pytest.mark.parametrize("flags", [("-n", "0"), ("-n", "-2"),
+                                       ("-n", "4", "--entry-bound", "-1"),
+                                       ("-n", "4", "--limit", "-3")])
+    def test_unscanned_ranges_exit_2(self, flags):
+        assert one_line_exit_2(run("find-nonintegral-vertex", *flags))
 
     def test_witness_serialization(self, monkeypatch, tmp_path):
         t = BoundaryTriple((1, 0), (1, 0), (-1, -1))

@@ -11,7 +11,8 @@ from hivecomb import (DIRECTIONS, BoundaryTriple, DirectionViolation, Edge,
                       build_gl_tinkertoy, build_tinkertoy_from_type,
                       dual_graph, standard_configuration,
                       validate_configuration)
-from hivecomb.honeycomb import (dual_pair, is_head, is_lattice_vertex,
+from hivecomb.honeycomb import (Partition, dual_pair, dual_polygon,
+                                dual_sides, is_head, is_lattice_vertex,
                                 is_root_point, is_tail, triangle)
 
 F = Fraction
@@ -165,6 +166,24 @@ class TestDualGraph:
         t = build_gl_tinkertoy(2)
         d = dual_graph(t)
         assert {p for tri in d.triangles.values() for p in tri} == d.points
+
+    def test_dual_sides_close_around_the_polygon(self):
+        census = (2, 1, 0, 3, 0, 1)
+        sides = dual_sides(census)
+        assert list(sides) == [0, 5, 3, 1]  # counterclockwise, nonzero only
+        starts = [a for a, _ in sides.values()]
+        ends = [b for _, b in sides.values()]
+        assert ends == starts[1:] + starts[:1]
+        assert tuple(starts) == dual_polygon(census)
+
+
+class TestPartition:
+    def test_union_reports_new_joins(self):
+        p = Partition("abcde")
+        assert p.union("a", "b") and p.union("c", "b")
+        assert not p.union("a", "c")
+        assert p.find("a") == p.find("c") != p.find("d")
+        assert p.classes() == [{"a", "b", "c"}, {"d"}, {"e"}]
 
 
 @given(st.integers(1, 4))

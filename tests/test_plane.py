@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hivecomb import (AXIS_POSITIVE, DIRECTION_ORDER, DIRECTIONS, INF,
                       Direction, PlanePoint, SegmentOrRay, frac, intersect,
                       perp_step)
-from hivecomb.plane import contains_point
+from hivecomb.plane import contains_point, point_with
 
 F = Fraction
 O = PlanePoint(0, 0, 0)
@@ -37,6 +37,10 @@ class TestPlanePoint:
         with pytest.raises(TypeError):
             PlanePoint(0.5, 0.5, -1.0)
 
+    def test_point_with_two_coordinates(self):
+        assert point_with(2, 5, 0, F(1, 2)).coords() == (F(1, 2), F(-11, 2), 5)
+        assert point_with(1, -1, 2, 3) == PlanePoint(-2, -1, 3)
+
 
 class TestDirections:
     def test_step_table(self):
@@ -55,6 +59,13 @@ class TestDirections:
             assert d.step[d.constant_axis] == 0
             assert d.param_axis == (d.constant_axis + 1) % 3
             assert d.orientation == (1 if d.step[d.param_axis] > 0 else -1)
+
+    def test_multiple(self):
+        for d in DIRECTION_ORDER:
+            assert d.multiple(tuple(F(-3, 2) * c for c in d.step)) == F(-3, 2)
+            assert d.multiple((0, 0, 0)) == 0
+        assert DIRECTIONS["NE"].multiple((1, 1, -2)) is None
+        assert DIRECTIONS["E"].multiple((1, -2, 1)) is None
 
     def test_axis_positive(self):
         for axis, d in AXIS_POSITIVE.items():

@@ -144,9 +144,10 @@ class TestBreatheLoop:
         assert all(via_loop[p] == via_hive[p] for p in hive_indices(3))
 
     def test_epsilon_limits(self):
-        for eps in (2, -2):
-            with pytest.raises(EpsilonTooLarge):
+        for eps, bound in ((2, 1), (-2, -1)):
+            with pytest.raises(EpsilonTooLarge) as ex:
                 breathe_loop(self.g3(), HEX_RING, eps)
+            assert ex.value.bound == bound
         breathe_loop(self.g3(), HEX_RING, 1)
         breathe_loop(self.g3(), HEX_RING, -1)
 
