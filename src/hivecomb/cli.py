@@ -166,6 +166,9 @@ def _clip_ray(base, d, box):
 
 def render_svg(m, box_margin=2.0) -> str:
     """Static picture of a diagram: one path per segment, marks per vertex."""
+    if not 0 < box_margin < math.inf:
+        raise ValueError(f"box margin must be finite and positive, "
+                         f"not {box_margin}")
     anchors = []
     for s in m.segments:
         anchors.append(_project(s.base))

@@ -113,4 +113,5 @@ class SizeMismatch(HivecombError):
 
 
 class TooLarge(HivecombError):
-    """Brute-force enumeration refused without an explicit override."""
+    """Vertex enumeration refused: n > 4 without allow_large, or a boundary
+    too large for its int64 arithmetic."""

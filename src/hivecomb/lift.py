@@ -406,6 +406,8 @@ def largest_lift(t: BoundaryTriple, w: WeightFunction = None,
         w = make_weight_function(t.n)
     if w.n != t.n:
         raise ValueError("weight function size does not match the boundary")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be nonnegative, not {max_retries}")
     retries = 0
     out = lp_maximize(wperim_objective(w), t)
     while not out.unique:

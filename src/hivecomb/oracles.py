@@ -1,7 +1,10 @@
 """Ground-truth cross-checks, kept independent of the main modules.
 
 Implements the classical skew-tableaux Littlewood-Richardson rule, the Weyl
-dimension formula, and brute-force vertex enumeration for the hive polytope.
+dimension formula, and vertex enumeration for the hive polytope.  The
+enumeration solves every nonsingular square subsystem of the rhombus
+constraints; the subsystems and their integer adjugates depend on n only, so
+they are tabulated once per n and each boundary costs two int64 products.
 Nothing here shares combinatorial helpers with the hive or lift code: the
 boundary filling, rhombus scan, and flat indexing are all reimplemented, so
 agreement between the two sides is evidence rather than tautology.
@@ -9,7 +12,8 @@ agreement between the two sides is evidence rather than tautology.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -175,82 +179,73 @@ def _rhombus_rows(n, boundary):
     return interior, rows
 
 
-def _solve_square(rows):
-    """Exact solve of a square linear system; None when singular.
+@lru_cache(maxsize=None)
+def _square_table(n):
+    """Every nonsingular square subsystem of the rhombus rows at size n.
 
-    Fraction-free (Bareiss) elimination in integers: the constants are put
-    over one denominator, every division is exact, and only the solution is
-    turned into Fractions.
+    The coefficient rows do not depend on the boundary, so the k-subsets
+    of them with nonzero determinant are found once per n.  Each comes with
+    det = |det A| and the integer matrix adj = det * A^-1, checked exactly
+    by adj @ A == det * I, so det * x = adj @ b solves A x = b.
     """
-    k = len(rows)
-    den = math.lcm(*[Fraction(const).denominator for _, const in rows])
-    m = [[int(c) for c in coef] + [int(-Fraction(const) * den)]
-         for coef, const in rows]
-    prev = 1
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        top = m[col]
-        p = top[col]
-        for r in range(col + 1, k):
-            f = m[r][col]
-            m[r] = [(v * p - f * t) // prev for v, t in zip(m[r], top)]
-        prev = p
-    # prev is now det; back substitution gives the Cramer numerators det*x
-    num = [0] * k
-    for i in reversed(range(k)):
-        acc = prev * m[i][k] - sum(m[i][j] * num[j] for j in range(i + 1, k))
-        num[i] = acc // m[i][i]
-    return [Fraction(v, prev * den) for v in num]
+    zero = (0,) * n
+    interior, rows = _rhombus_rows(n, _boundary_values(
+        BoundaryTriple(zero, zero, zero)))
+    k = len(interior)
+    coef = np.array([c for c, _ in rows], dtype=np.int64).reshape(len(rows), k)
+    subs, dets, adjs = [], [], []
+    todo = combinations(range(len(rows)), k)
+    while chunk := list(islice(todo, 1024)):
+        sub = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+        mats = coef[sub]
+        # float determinants are exact for these tiny integer matrices
+        det = np.abs(np.rint(np.linalg.det(mats))).astype(np.int64)
+        sub, mats, det = sub[det != 0], mats[det != 0], det[det != 0]
+        det_eye = det[:, None, None] * np.eye(k, dtype=np.int64)
+        # int8 storage; an entry it cannot hold fails the exact check
+        adj = np.rint(det_eye @ np.linalg.inv(mats)).astype(np.int8)
+        if not np.array_equal(adj @ mats, det_eye):
+            raise ArithmeticError(f"inexact adjugate at n = {n}")
+        subs.append(sub)
+        dets.append(det)
+        adjs.append(adj)
+    sub, det, adj = (np.concatenate(a) for a in (subs, dets, adjs))
+    # |det * den * slack| <= B * scale when every |const * den| <= B
+    scale = (int(np.abs(coef).sum(1).max(initial=0))
+             * int(np.abs(adj).sum(2).max(initial=0)) + int(det.max()))
+    return coef, sub, det, adj, scale
 
 
 def enumerate_polytope_vertices(t: BoundaryTriple, allow_large=False):
     """All vertices of the hive polytope over boundary t, exactly.
 
-    Brute force over square subsystems of tight rhombus constraints, so the
-    cost explodes combinatorially; refuses n > 4 unless allow_large is set.
+    Every nonsingular square subsystem of rhombus constraints, taken tight,
+    gives a candidate; the feasible ones are the vertices.  The subsystems
+    and their adjugates come from a per-n table, so one boundary costs two
+    int64 products over it.  Building that table explodes combinatorially,
+    so n > 4 is refused unless allow_large is set; constants too large for
+    int64 are refused always.
     """
     n = t.n
     if n > 4 and not allow_large:
         raise TooLarge(f"vertex enumeration at n = {n} needs allow_large")
     boundary = _boundary_values(t)
     interior, rows = _rhombus_rows(n, boundary)
-    k = len(interior)
-
-    def to_hive(values):
-        ent = []
-        at = dict(zip(interior, values))
-        for r in range(n + 1):
-            for j in range(r + 1):
-                p = (r - j, j)
-                ent.append(boundary[p] if p in boundary else at[p])
-        return Hive(n, ent)
-
-    if k == 0:
-        if all(const >= 0 for _, const in rows):
-            return [to_hive([])]
-        return []
-
-    var_rows = [row for row in rows if any(row[0])]
-    subsets = list(combinations(range(len(var_rows)), k))
-    # float determinants are exact for these tiny integer matrices and let
-    # numpy discard the (many) singular subsets in one pass
-    mats = np.array([[var_rows[i][0] for i in sub] for sub in subsets],
-                    dtype=np.float64)
-    keep = np.abs(np.linalg.det(mats)) > 0.5
-    seen = set()
+    coef, sub, det, adj, scale = _square_table(n)
+    den = math.lcm(*[const.denominator for _, const in rows])
+    consts = [int(const * den) for _, const in rows]
+    if max(map(abs, consts), default=0) * scale >= 2 ** 63:
+        raise TooLarge("boundary too large for int64 vertex enumeration")
+    consts = np.array(consts, dtype=np.int64)
+    # det * den * x and det for every subset, then det * den * every slack
+    xs = np.column_stack([np.einsum("sij,sj->si", adj, -consts[sub]), det])
+    feasible = (xs @ np.column_stack([coef, consts]).T >= 0).all(1)
+    verts = {tuple(Fraction(v, d * den) for v in x)
+             for *x, d in set(map(tuple, xs[feasible].tolist()))}
     out = []
-    for sub, ok in zip(subsets, keep):
-        if not ok:
-            continue
-        x = _solve_square([var_rows[i] for i in sub])
-        if x is None or tuple(x) in seen:
-            continue
-        seen.add(tuple(x))
-        if all(sum(c * v for c, v in zip(coef, x)) + const >= 0
-               for coef, const in rows):
-            out.append(to_hive(x))
+    for x in verts:
+        at = {**boundary, **dict(zip(interior, x))}
+        out.append(Hive(n, [at[(r - j, j)]
+                            for r in range(n + 1) for j in range(r + 1)]))
     out.sort(key=lambda h: h.entries)
     return out

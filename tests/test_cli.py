@@ -161,6 +161,9 @@ class TestLift:
         assert code == 4
         assert "infeasible" in err
 
+    def test_negative_max_retries_exits_2(self):
+        assert one_line_exit_2(run(*self.ARGS, "--max-retries", "-3"))
+
     def test_nonintegral_regular_exits_3(self, monkeypatch):
         fake = SimpleNamespace(integral=False)
         monkeypatch.setattr(cli, "largest_lift", lambda t, w, **kw: fake)
@@ -237,6 +240,12 @@ class TestRender:
             for x, y in ((ax, ay), (bx, by)):
                 assert x0 - 0.1 <= x <= x0 + w + 0.1
                 assert y0 - 0.1 <= y <= y0 + h + 0.1
+
+    @pytest.mark.parametrize("box", ["0", "-5", "nan", "inf"])
+    def test_bad_box_exits_2(self, tmp_path, box):
+        path = save(tmp_path, "h.json", cli.honeycomb_to_json(std(2)))
+        assert one_line_exit_2(run("render", path, "--box", box,
+                                   "-o", "/dev/null"))
 
     def test_broken_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -374,6 +374,11 @@ class TestLargestLift:
         assert rep.retries == 0
         assert calls == [6]
 
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(ValueError):
+            largest_lift(ADJ, max_retries=-1)
+        assert largest_lift(ADJ, max_retries=0).retries == 0
+
     def test_gl2(self):
         rep = largest_lift(GL2)
         assert entries(rep.hive) == [0, 1, 2, 1, 2, 2]
@@ -514,6 +519,9 @@ WITNESS = BoundaryTriple((2, 2, 1, 0, -1), (2, 1, 0, -1, -2),
                          (1, 0, -1, -2, -2))
 WITNESS_ENTRIES = [0, 2, 2, 4, 4, 4, 5, 6, 6, 5,
                    5, F(13, 2), F(13, 2), F(13, 2), 5, 4, 6, 7, 7, 6, 4]
+# a boundary whose polytope has three nonintegral vertices among 18
+THREE_HITS = BoundaryTriple((3, 3, 1, 0, -2), (3, 1, -1, -2, -3),
+                            (2, 1, -1, -2, -3))
 
 
 class TestNonintegralVertex:
@@ -570,8 +578,7 @@ class TestNonintegralVertex:
         """Of several nonintegral vertices the hunt returns the one whose
         first nonsingular subset of tight rows, in subset order, comes
         first: the vertex a scan over all row subsets meets first."""
-        t = BoundaryTriple((3, 3, 1, 0, -2), (3, 1, -1, -2, -3),
-                           (2, 1, -1, -2, -3))
+        t = THREE_HITS
         inter, _, rows = _lp_rows(t)
         firsts = {}
         for h in polytope_vertices(t):
@@ -626,6 +633,11 @@ def test_vertices_match_oracle():
         assert got == enumerate_polytope_vertices(t), t
         sizes.add(len(got))
     assert polytope_vertices(empty) == [] and max(sizes) == 10
+    n5 = [WITNESS, THREE_HITS] + [feasible_boundary(5, rng, 2)
+                                  for _ in range(3)]
+    for t in n5:
+        assert polytope_vertices(t) == enumerate_polytope_vertices(
+            t, allow_large=True), t
 
 
 @given(st.integers(0, 2 ** 32))

@@ -1,7 +1,9 @@
 """Independent ground-truth checks: tableaux rule, Weyl dims, vertex scan."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +163,15 @@ class TestPolytopeVertices:
             enumerate_polytope_vertices(t)
         assert enumerate_polytope_vertices(t, allow_large=True)
 
+    def test_int64_guard(self):
+        # unguarded, int64 wraps at 2^59 and five "vertices" come back
+        t = BoundaryTriple((2, 1, 0, -1), (2, 1, 0, -1), (1, 0, -2, -3))
+        big = enumerate_polytope_vertices(t.scaled(2 ** 56))
+        assert [[x / 2 ** 56 for x in v.entries] for v in big] \
+            == [list(v.entries) for v in enumerate_polytope_vertices(t)]
+        with pytest.raises(TooLarge):
+            enumerate_polytope_vertices(t.scaled(2 ** 59))
+
     def test_vertices_are_basic(self):
         # a vertex must make at least (interior count) linearly independent
         # rhombus constraints tight
@@ -194,3 +205,20 @@ class TestPolytopeVertices:
         for H in enumerate_polytope_vertices(t):
             assert H.is_valid
             assert H.boundary_triple() == t
+
+
+def test_imports_keep_the_oracles_independent():
+    """From its own package oracles.py takes error types and the two data
+    classes only, never the hive or lift code it is meant to check."""
+    path = Path(__file__).resolve().parents[1] / "src/hivecomb/oracles.py"
+    inside = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "hivecomb"
+                           for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "hivecomb"):
+            module = (node.module or "").removeprefix("hivecomb.")
+            inside |= {(module, a.name) for a in node.names}
+    assert inside == {("errors", "SizeMismatch"), ("errors", "TooLarge"),
+                      ("hive", "Hive"), ("weights", "BoundaryTriple")}
