@@ -20,7 +20,7 @@ from .hive import (Hive, count_lattice_hives, count_gt_patterns,
                    decompose_tensor_product, exists_lattice_hive,
                    hive_indices)
 from .honeycomb import (Honeycomb, build_tinkertoy_from_type,
-                        validate_configuration)
+                        tinkertoy_size, validate_configuration)
 from .lift import find_nonintegral_vertex, largest_lift, make_weight_function
 from .oracles import transcribed_lr_count
 from .plane import DIRECTIONS, INF, PlanePoint, SegmentOrRay, frac
@@ -77,18 +77,38 @@ def honeycomb_to_json(h: Honeycomb) -> dict:
                           for v in verts]}
 
 
+def point_from_json(p) -> PlanePoint:
+    """A point written as a JSON array of exactly three exact numbers."""
+    if (not isinstance(p, list) or len(p) != 3
+            or any(isinstance(c, bool) for c in p)):
+        raise ValueError(f"a point is an array of three numbers, not {p!r}")
+    return PlanePoint(*map(frac, p))
+
+
+def direction_from_json(name):
+    try:
+        return DIRECTIONS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown direction {name!r}; expected one of "
+                         f"{', '.join(DIRECTIONS)}") from None
+
+
 def honeycomb_from_json(data) -> Honeycomb:
+    """The honeycomb of a saved type and positions.
+
+    The position count is checked against the type before its tinkertoy is
+    built, so a small file with a huge type is refused at once.
+    """
     try:
         census = tuple(int(c) for c in data["type"])
-        points = [PlanePoint(*map(frac, p)) for p in data["positions"]]
+        points = [point_from_json(p) for p in data["positions"]]
     except TypeError as ex:  # JSON of the wrong shape
         raise ValueError(f"not a honeycomb: {ex}") from ex
+    expected = tinkertoy_size(census)
+    if len(points) != expected:
+        raise ValueError(f"expected {expected} positions, got {len(points)}")
     tk = build_tinkertoy_from_type(census)
-    verts = tk.sorted_vertices
-    if len(points) != len(verts):
-        raise ValueError(f"expected {len(verts)} positions, "
-                         f"got {len(points)}")
-    return validate_configuration(tk, dict(zip(verts, points)))
+    return validate_configuration(tk, dict(zip(tk.sorted_vertices, points)))
 
 
 def diagram_to_json(m) -> list:
@@ -100,8 +120,8 @@ def diagram_to_json(m) -> list:
 
 def diagram_from_json(data):
     try:
-        rows = [(PlanePoint(*map(frac, row["base"])),
-                 DIRECTIONS[row["direction"]],
+        rows = [(point_from_json(row["base"]),
+                 direction_from_json(row["direction"]),
                  INF if row["length"] == "inf" else frac(row["length"]),
                  frac(row.get("multiplicity", 1))) for row in data]
     except TypeError as ex:  # JSON of the wrong shape

@@ -8,20 +8,26 @@ exactly when they give the same measure.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import NotADiagram, TensionViolation, UnknownPattern
 from .honeycomb import DualGraph, Honeycomb, Partition, Tinkertoy
 from .plane import (AXIS_POSITIVE, DIRECTION_ORDER, INF, Direction,
                     PlanePoint, SegmentOrRay, constant_coordinate, coord,
-                    point_with, tension)
+                    coords_with, param_interval, tension)
 
 #: Vertex kinds in increasing ray count.
 VERTEX_KINDS = ("Y", "inverted-Y", "crossing", "rake", "5-valent", "6-valent")
 
-_RAKE_SUPPORTS = tuple(frozenset({i, (i + 1) % 6, (i + 2) % 6, (i + 4) % 6})
-                       for i in range(6))
+#: Ray supports as bitmasks, bit i for census index i.
+_Y, _INVERTED_Y = 0b010101, 0b101010
+_RAKE_SUPPORTS = frozenset(1 << i | 1 << (i + 1) % 6 | 1 << (i + 2) % 6
+                           | 1 << (i + 4) % 6 for i in range(6))
+
+
+def _indices(support) -> list:
+    return [i for i in range(6) if support >> i & 1]
 
 
 def classify_vertex(mults) -> str:
@@ -31,30 +37,33 @@ def classify_vertex(mults) -> str:
     not balance and UnknownPattern for a balanced pattern that matches none
     of the six shapes (which cannot happen for nonnegative multiplicities).
     """
-    m = tuple(coord(x) for x in mults)
-    if len(m) != 6 or any(x < 0 for x in m):
+    m = tuple(map(coord, mults))
+    if len(m) != 6 or min(m) < 0:
         raise ValueError("need six nonnegative multiplicities")
     t = tension(m)
     if t != (0, 0, 0):
         raise TensionViolation(f"rays pull with net tension {t}: {m}")
-    support = frozenset(i for i in range(6) if m[i] > 0)
-    k = len(support)
+    support = 0
+    for i, x in enumerate(m):
+        if x:
+            support |= 1 << i
+    k = support.bit_count()
     if k < 3:
         raise ValueError("a vertex uses at least three rays")
     if k == 3:
-        if support == frozenset({0, 2, 4}):
+        if support == _Y:
             return "Y"
-        if support == frozenset({1, 3, 5}):
+        if support == _INVERTED_Y:
             return "inverted-Y"
-        raise UnknownPattern(f"unbalanced 3-ray support {sorted(support)}")
+        raise UnknownPattern(f"unbalanced 3-ray support {_indices(support)}")
     if k == 4:
-        pairs = [i for i in range(3) if i in support and i + 3 in support]
+        pairs = [i for i in range(3) if support >> i & support >> i + 3 & 1]
         if len(pairs) == 2:
             assert all(m[i] == m[i + 3] for i in pairs)
             return "crossing"
         if support in _RAKE_SUPPORTS:
             return "rake"
-        raise UnknownPattern(f"unbalanced 4-ray support {sorted(support)}")
+        raise UnknownPattern(f"unbalanced 4-ray support {_indices(support)}")
     return "5-valent" if k == 5 else "6-valent"
 
 
@@ -87,14 +96,17 @@ def _piece_key(s: SegmentOrRay):
 
 
 class _LineProfile:
-    """Multiplicity profile of one line, between its finite breakpoints."""
+    """Multiplicity profile of one line, between its finite breakpoints.
 
-    def __init__(self, key, pieces):
+    Built from spans (lo, hi, multiplicity) of the line's canonical
+    parameter, a None bound meaning unbounded on that side.
+    """
+
+    def __init__(self, key, spans):
         self.axis, self.constant = key
-        self.pieces = pieces
+        self.param = AXIS_POSITIVE[self.axis].param_axis
         cuts = set()
-        for s in pieces:
-            lo, hi = s.interval()
+        for lo, hi, _ in spans:
             if lo is not None:
                 cuts.add(lo)
             if hi is not None:
@@ -103,41 +115,46 @@ class _LineProfile:
         # mult of elementary interval i = (breakpoints[i-1], breakpoints[i]),
         # with i = 0 and i = len(breakpoints) unbounded
         mults = [0] * (len(self.breakpoints) + 1)
-        for s in pieces:
-            lo, hi = s.interval()
+        for lo, hi, m in spans:
             a = 0 if lo is None else bisect_left(self.breakpoints, lo) + 1
             b = (len(mults) if hi is None
                  else bisect_left(self.breakpoints, hi) + 1)
             for i in range(a, b):
-                mults[i] += s.multiplicity
+                mults[i] += m
         self.mults = [coord(m) for m in mults]
 
-    def point(self, t) -> PlanePoint:
-        return point_with(self.axis, self.constant,
-                          AXIS_POSITIVE[self.axis].param_axis, t)
+    def point(self, t) -> tuple:
+        """Coordinates of the point with parameter t."""
+        return coords_with(self.axis, self.constant, self.param, t)
 
-    def mult_beside(self, t, side: int):
-        """Multiplicity immediately above (side=+1) or below (side=-1) t."""
-        if side > 0:
-            return self.mults[bisect_right(self.breakpoints, t)]
-        return self.mults[bisect_left(self.breakpoints, t)]
+    def around(self, t):
+        """Multiplicities just below and just above parameter t."""
+        i = bisect_left(self.breakpoints, t)
+        below = self.mults[i]
+        if i < len(self.breakpoints) and self.breakpoints[i] == t:
+            return below, self.mults[i + 1]
+        return below, below
+
+    def measured_below(self, t) -> bool:
+        """Whether the line has measure just below parameter t."""
+        return self.mults[bisect_left(self.breakpoints, t)] > 0
 
 
-#: (constant axis, parameter axis, orientation) of each ray, census order.
-_RAY_AXES = tuple((d.constant_axis, d.param_axis, d.orientation)
-                  for d in DIRECTION_ORDER)
+#: Per constant axis, the census indices of the rays that leave a point
+#: along its line towards lower and towards higher parameter.
+_RAYS_ON_AXIS = tuple((DIRECTION_ORDER.index(AXIS_POSITIVE[a].opposite()),
+                       DIRECTION_ORDER.index(AXIS_POSITIVE[a]))
+                      for a in range(3))
 
 
-def _mults_at(profiles, p: PlanePoint):
-    coords = p.coords()
-    out = []
-    for axis, param, orientation in _RAY_AXES:
-        prof = profiles.get((axis, coords[axis]))
-        if prof is None:
-            out.append(0)
-        else:
-            out.append(prof.mult_beside(coords[param], orientation))
-    return tuple(out)
+def _mults_at(profiles, p):
+    """The six ray multiplicities at coordinates p, census order."""
+    rays = [0] * 6
+    for axis, (down, up) in enumerate(_RAYS_ON_AXIS):
+        prof = profiles.get((axis, p[axis]))
+        if prof is not None:
+            rays[down], rays[up] = prof.around(p[prof.param])
+    return tuple(rays)
 
 
 class Diagram:
@@ -190,6 +207,14 @@ class Diagram:
                 f"{len(self.vertices)} vertices, type={self.type})")
 
 
+def _add_span(lines, base, d: Direction, length, m):
+    """File a piece from coordinates base along d under its line's key, as
+    the span (lo, hi, m) of the line's canonical parameter."""
+    lo, hi = param_interval(base[d.param_axis], d, length)
+    lines.setdefault((d.constant_axis, base[d.constant_axis]), []).append(
+        (lo, hi, m))
+
+
 def canonical_diagram(pieces) -> Diagram:
     """Rebuild an arbitrary bag of pieces into canonical diagram form.
 
@@ -198,24 +223,53 @@ def canonical_diagram(pieces) -> Diagram:
     keeps a whole line away from every vertex ("disconnected"), or when there
     are no vertices at all ("parallel-lines").
     """
-    pieces = list(pieces)
     lines = {}
     for s in pieces:
-        lines.setdefault(constant_coordinate(s), []).append(s)
-    profiles = {key: _LineProfile(key, ps) for key, ps in lines.items()}
+        _add_span(lines, s.base.coords(), s.direction, s.length,
+                  s.multiplicity)
+    return _canonical(lines)
+
+
+def _canonical(lines) -> Diagram:
+    """canonical_diagram over spans already filed by line (`_add_span`).
+
+    Only two kinds of point can be anything but empty or the inside of a
+    straight run, so only they are classified: the breakpoints of each
+    line, and the crossings of two non-parallel lines that both carry
+    measure just below the crossing in their canonical parameters.  This is
+    exact for any bag of pieces, overlays included.  Away from a line's
+    breakpoints its multiplicity is the same on both sides, so a point that
+    is no breakpoint has each line through it measured on both sides or
+    on neither.  A vertex has at least three rays with nonzero
+    multiplicity and one line gives at most two, so at least two lines
+    carry measure next to it: it is a breakpoint or a crossing of two
+    lines measured on both sides.  A loose end or a tension fault is a
+    point where some line's multiplicity changes, which is a breakpoint,
+    or it has three or more rays and is found like a vertex.  Any other
+    point has at most one measured line through it, not at a breakpoint,
+    so it is empty or the measure passes straight through.  Points are
+    coordinate tuples until one is classified as a vertex.
+    """
+    profiles = {key: _LineProfile(key, spans) for key, spans in lines.items()}
 
     candidates = set()
     for prof in profiles.values():
         for t in prof.breakpoints:
             candidates.add(prof.point(t))
-    keys = list(profiles)
-    for i, (a1, c1) in enumerate(keys):
-        for a2, c2 in keys[i + 1:]:
-            if a1 != a2:
-                candidates.add(point_with(a1, c1, a2, c2))
+    by_axis = ([], [], [])
+    for prof in profiles.values():
+        by_axis[prof.axis].append(prof)
+    for axis in range(3):
+        # a line of the next axis crosses at the parameter equal to its own
+        # constant; its parameter there is the third coordinate
+        for p1 in by_axis[axis]:
+            for p2 in by_axis[(axis + 1) % 3]:
+                if (p1.measured_below(p2.constant)
+                        and p2.measured_below(-p1.constant - p2.constant)):
+                    candidates.add(p1.point(p2.constant))
 
     vertices = []
-    for p in sorted(candidates, key=_point_key):
+    for p in sorted(candidates):
         mults = _mults_at(profiles, p)
         nonzero = sum(1 for m in mults if m > 0)
         if nonzero == 0:
@@ -223,64 +277,63 @@ def canonical_diagram(pieces) -> Diagram:
         if nonzero <= 2:
             through = any(mults[i] == mults[i + 3] > 0 for i in range(3))
             if not (nonzero == 2 and through):
-                raise NotADiagram("tension", f"loose measure end at {p}")
+                raise NotADiagram("tension",
+                                  f"loose measure end at {PlanePoint(*p)}")
             continue
         try:
             kind = classify_vertex(mults)
         except TensionViolation as ex:
-            raise NotADiagram("tension", f"at {p}: {ex}") from ex
-        vertices.append(DiagramVertex(p, mults, kind))
+            raise NotADiagram("tension", f"at {PlanePoint(*p)}: {ex}") from ex
+        vertices.append(DiagramVertex(PlanePoint(*p), mults, kind))
 
     if not vertices:
         raise NotADiagram("parallel-lines", "the measure has no vertices")
 
-    cuts = {key: set() for key in profiles}
+    cuts = {key: {} for key in profiles}
     for v in vertices:
+        loc = v.location
         for axis in range(3):
-            key = (axis, v.location[axis])
-            if key in cuts:
-                cuts[key].add(v.location[AXIS_POSITIVE[axis].param_axis])
+            at = cuts.get((axis, loc[axis]))
+            if at is not None:
+                at[loc[AXIS_POSITIVE[axis].param_axis]] = loc
 
     segments = []
     for key, prof in profiles.items():
-        params = sorted(cuts[key])
-        if not params:
+        at = cuts[key]
+        if not at:
             raise NotADiagram("disconnected",
                               f"line {key} avoids every vertex")
-        axis = prof.axis
+        params = sorted(at)
+        up = AXIS_POSITIVE[prof.axis]
         spans = ([(None, params[0])]
                  + list(zip(params, params[1:]))
                  + [(params[-1], None)])
         for lo, hi in spans:
-            m = (prof.mult_beside(hi, -1) if lo is None
-                 else prof.mult_beside(lo, +1))
+            m = prof.around(hi)[0] if lo is None else prof.around(lo)[1]
             if m == 0:
                 continue
             if lo is None:
-                segments.append(SegmentOrRay(
-                    prof.point(hi), AXIS_POSITIVE[axis].opposite(), INF, m))
+                segments.append(SegmentOrRay(at[hi], up.opposite(), INF, m))
             elif hi is None:
-                segments.append(SegmentOrRay(
-                    prof.point(lo), AXIS_POSITIVE[axis], INF, m))
+                segments.append(SegmentOrRay(at[lo], up, INF, m))
             else:
-                segments.append(SegmentOrRay(
-                    prof.point(lo), AXIS_POSITIVE[axis], hi - lo, m))
+                segments.append(SegmentOrRay(at[lo], up, hi - lo, m))
     return Diagram(segments, vertices)
 
 
 def diagram(h: Honeycomb) -> Diagram:
     """The canonical diagram of a honeycomb configuration."""
-    pieces = []
+    lines = {}
     for e in h.tinkertoy.edges:
         if e.is_boundary:
-            pieces.append(SegmentOrRay(h.position(e.anchor),
-                                       e.ray_direction, INF))
+            _add_span(lines, h.position(e.anchor).coords(), e.ray_direction,
+                      INF, 1)
         else:
             length = h.edge_length(e)
             if length > 0:
-                pieces.append(SegmentOrRay(h.position(e.tail),
-                                           e.direction, length))
-    return canonical_diagram(pieces)
+                _add_span(lines, h.position(e.tail).coords(), e.direction,
+                          length, 1)
+    return _canonical(lines)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ length of one honeycomb edge.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, product
 from typing import NamedTuple
 
@@ -195,10 +195,17 @@ class Hive:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.entries)
 
+    @cached_property
+    def _coords(self) -> tuple:
+        """The entries through plane.coord: ints where integral."""
+        return tuple(coord(x) for x in self.entries)
+
     def first_violation(self):
         """The first rhombus (in scan order) with negative value, or None."""
-        for r in rhombi(self.n):
-            if rhombus_value(self, r) < 0:
+        e = self._coords
+        plan = _plan(self.n)
+        for r, (o1, o2, a1, a2) in zip(plan.rhombi, plan.quads.tolist()):
+            if e[o1] + e[o2] - e[a1] - e[a2] < 0:
                 return r
         return None
 
@@ -267,24 +274,40 @@ def _gl_size(census):
     return n
 
 
+@cache
+def _vertex_table(n):
+    """tau_n with, for each vertex in sorted order, the flat indices of the
+    entries that give its coordinates: (below, above) per axis.
+
+    The dual points of a vertex sit one below, level with and one above it
+    on each axis; that coordinate is the entry below minus the one above.
+    Built once per n and shared, like build_gl_tinkertoy.
+    """
+    t = build_gl_tinkertoy(n)
+    flat = {root_of(n, i, j): _flat(i, j) for i, j in hive_indices(n)}
+    rows = []
+    for v in t.sorted_vertices:
+        tri = triangle(v)
+        rows.append((v, tuple(
+            (flat[next(p for p in tri if p[a] == v[a] - 1)],
+             flat[next(p for p in tri if p[a] == v[a] + 1)])
+            for a in range(3))))
+    return t, tuple(rows)
+
+
 def hive_to_honeycomb(H: Hive) -> Honeycomb:
-    """Place every tau_n vertex using differences of surrounding entries."""
+    """Place every tau_n vertex using differences of surrounding entries.
+
+    Integral entries, as in every largest lift over an integral regular
+    boundary, go in as ints, so the honeycomb is built in int arithmetic.
+    """
     bad = H.first_violation()
     if bad is not None:
         raise RhombusViolation(bad, rhombus_value(H, bad))
-    n = H.n
-    t = build_gl_tinkertoy(n)
-    # integral entries, as in every largest lift over an integral regular
-    # boundary, go in as ints, so the honeycomb is built in int arithmetic
-    at_root = {root_of(n, i, j): coord(H.value(i, j))
-               for i, j in hive_indices(n)}
-    # the dual points of a vertex sit one below, level with and one above
-    # it on each axis; that coordinate is the entry below minus the one above
-    pos = {}
-    for v in t.sorted_vertices:
-        tri = triangle(v)
-        pos[v] = tuple(sum((v[a] - p[a]) * at_root[p] for p in tri)
-                       for a in range(3))
+    t, rows = _vertex_table(H.n)
+    e = H._coords
+    pos = {v: (e[x0] - e[x1], e[y0] - e[y1], e[z0] - e[z1])
+           for v, ((x0, x1), (y0, y1), (z0, z1)) in rows}
     return validate_configuration(t, pos)
 
 

@@ -150,6 +150,7 @@ class Tinkertoy:
         self._check_axioms()
         self.edges = self._build_edges()
         self.boundary_edges = tuple(e for e in self.edges if e.is_boundary)
+        self.finite_edges = tuple(e for e in self.edges if not e.is_boundary)
         census = [0] * 6
         for e in self.boundary_edges:
             census[DIRECTION_ORDER.index(e.ray_direction)] += 1
@@ -196,10 +197,6 @@ class Tinkertoy:
                     if t not in verts:
                         edges.append(Edge(None, v, d))
         return tuple(edges)
-
-    @property
-    def finite_edges(self):
-        return tuple(e for e in self.edges if not e.is_boundary)
 
     @property
     def hexagons(self):
@@ -276,12 +273,27 @@ def dual_polygon(census):
         raise TypeDoesNotClose(f"ray tensions sum to {total}, not zero")
     sides = list(dual_sides(census).values())
     assert sides[-1][1] == (0, 0, 0)
-    corners = [start for start, _ in sides]
-    area2 = sum(_cross2(corners[i], corners[(i + 1) % len(corners)])
-                for i in range(len(corners)))
-    if area2 == 0:
+    corners = tuple(start for start, _ in sides)
+    if _area2(corners) == 0:
         raise TypeDoesNotClose("region collapses to a segment")
-    return tuple(corners)
+    return corners
+
+
+def _area2(corners) -> int:
+    """Twice the signed area of a polygon, in the (x, y) chart of B."""
+    return sum(_cross2(corners[i], corners[(i + 1) % len(corners)])
+               for i in range(len(corners)))
+
+
+def tinkertoy_size(census) -> int:
+    """Vertex count of the tinkertoy of a boundary type, without building it.
+
+    The dual triangles of the vertices tile the dual region, and twice the
+    area of one is 3 in the (x, y) chart, so the count is |2 * area| / 3 of
+    the dual polygon.  Raises like dual_polygon for a type that does not
+    close.
+    """
+    return abs(_area2(dual_polygon(census))) // 3
 
 
 def polygon_contains(corners, p) -> bool:

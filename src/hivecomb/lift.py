@@ -609,7 +609,11 @@ def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,
         x, s, _ = min(hits, key=lambda v: _first_basis(coefs, v[2]))
         entries = {**bvals, **{p: Fraction(v, s) for p, v in zip(inter, x)}}
         hive = Hive(n, [entries[p] for p in hive_indices(n)])
-        assert hive.is_valid and not hive.is_integral
-        assert hive.boundary_triple() == t
+        if not hive.is_valid or hive.is_integral:
+            raise RuntimeError(f"vertex hunt hit over {t!r} is not a valid "
+                               "nonintegral hive")
+        if hive.boundary_triple() != t:
+            raise RuntimeError(f"vertex hunt hit over {t!r} has another "
+                               "boundary")
         return t, hive
     return None

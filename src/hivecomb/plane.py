@@ -6,15 +6,15 @@ enters a geometric predicate.  Integral honeycombs, among them every largest
 lift over an integral regular boundary, so run on Python ints.  Only the six
 lattice directions are supported.
 
-The shared lattice helpers live here: `point_with` fills in the third
-coordinate of a point from two fixed ones, `Direction.multiple` reads a
-displacement as a multiple of a direction's step, and `tension` sums the six
-steps weighted by multiplicities.
+The shared lattice helpers live here: `coords_with` and `point_with` fill
+in the third coordinate of a point from two fixed ones,
+`Direction.multiple` reads a displacement as a multiple of a direction's
+step, and `tension` sums the six steps weighted by multiplicities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -127,28 +127,29 @@ class PlanePoint:
 
 @dataclass(frozen=True)
 class Direction:
-    """One of the six unit lattice steps of B."""
+    """One of the six unit lattice steps of B.
+
+    Three attributes are derived from the step once, at construction:
+    constant_axis, the coordinate that stays constant along the step;
+    param_axis, the coordinate used as the canonical parameter on lines of
+    that axis (x-lines are parametrized by y, y-lines by z, z-lines by x);
+    and orientation, +1 if the canonical parameter increases along the step
+    and -1 otherwise.
+    """
 
     name: str
     step: tuple  # integer 3-tuple summing to 0
+    constant_axis: int = field(init=False, compare=False)
+    param_axis: int = field(init=False, compare=False)
+    orientation: int = field(init=False, compare=False)
 
-    @property
-    def constant_axis(self) -> int:
-        """Index of the coordinate that stays constant along this step."""
-        return self.step.index(0)
-
-    @property
-    def param_axis(self) -> int:
-        """Coordinate used as the canonical parameter on lines of this axis.
-
-        x-lines are parametrized by y, y-lines by z, z-lines by x.
-        """
-        return (self.constant_axis + 1) % 3
-
-    @property
-    def orientation(self) -> int:
-        """+1 if the canonical parameter increases along this step."""
-        return 1 if self.step[self.param_axis] > 0 else -1
+    def __post_init__(self):
+        constant = self.step.index(0)
+        param = (constant + 1) % 3
+        object.__setattr__(self, "constant_axis", constant)
+        object.__setattr__(self, "param_axis", param)
+        object.__setattr__(self, "orientation",
+                           1 if self.step[param] > 0 else -1)
 
     def multiple(self, delta):
         """t with delta == t * step, or None when delta is off this axis."""
@@ -185,19 +186,28 @@ AXIS_POSITIVE = {0: NE, 1: SE, 2: W}
 
 def tension(mults) -> tuple:
     """Sum of the six unit steps weighted by mults (DIRECTION_ORDER); zero
-    for a balanced vertex and for a type whose dual region closes."""
-    return tuple(sum(m * d.step[i] for m, d in zip(mults, DIRECTION_ORDER))
-                 for i in range(3))
+    for a balanced vertex and for a type whose dual region closes.
+
+    The steps NE, E, SE, SW, W, NW are written out, coordinate by
+    coordinate.
+    """
+    ne, e, se, sw, w, nw = mults
+    return (w + nw - e - se, ne + e - sw - w, se + sw - ne - nw)
 
 
-def point_with(a1, c1, a2, c2) -> PlanePoint:
-    """The point with coordinate c1 on axis a1 and c2 on axis a2; the third
-    coordinate is minus their sum."""
+def coords_with(a1, c1, a2, c2) -> tuple:
+    """The coordinates with c1 on axis a1 and c2 on axis a2; the third is
+    minus their sum."""
     coords = [None, None, None]
     coords[a1] = c1
     coords[a2] = c2
     coords[3 - a1 - a2] = -c1 - c2
-    return PlanePoint(*coords)
+    return tuple(coords)
+
+
+def point_with(a1, c1, a2, c2) -> PlanePoint:
+    """The point with coordinate c1 on axis a1 and c2 on axis a2."""
+    return PlanePoint(*coords_with(a1, c1, a2, c2))
 
 
 def perp_step(d: Direction) -> tuple:
@@ -247,12 +257,8 @@ class SegmentOrRay:
 
         Either bound may be None, meaning unbounded on that side.
         """
-        p = self.base[self.direction.param_axis]
-        if self.direction.orientation > 0:
-            hi = None if self.is_ray else p + self.length
-            return (p, hi)
-        lo = None if self.is_ray else p - self.length
-        return (lo, p)
+        return param_interval(self.base[self.direction.param_axis],
+                              self.direction, self.length)
 
     def point_at_param(self, t) -> PlanePoint:
         """Point on the carrying line with canonical parameter t."""
@@ -263,6 +269,14 @@ class SegmentOrRay:
         tail = "inf" if self.is_ray else str(self.length)
         m = f" x{self.multiplicity}" if self.multiplicity != 1 else ""
         return f"[{self.base} {self.direction} len={tail}{m}]"
+
+
+def param_interval(t, d: Direction, length) -> tuple:
+    """(lo, hi) of the canonical line parameter covered by a piece leaving
+    parameter t along d, of the given length or INF; None is unbounded."""
+    if d.orientation > 0:
+        return (t, None if length is INF else t + length)
+    return (None if length is INF else t - length, t)
 
 
 def constant_coordinate(s: SegmentOrRay):

@@ -201,39 +201,52 @@ def elide(m: Diagram) -> PostElisionGraph:
     for v in m.vertices:
         if v.kind not in ("Y", "inverted-Y", "crossing") or max(v.mults) != 1:
             raise NotSimplyDegenerate(v)
-    nodes = [v for v in m.vertices if v.kind != "crossing"]
-    node_idx = {v.location: i for i, v in enumerate(nodes)}
-    vert_at = {v.location: v for v in m.vertices}
+    verts = m.vertices
+    at = {v.location.coords(): k for k, v in enumerate(verts)}
+    node_of, nodes = {}, []
+    for k, v in enumerate(verts):
+        if v.kind != "crossing":
+            node_of[k] = len(nodes)
+            nodes.append(v)
 
+    # (vertex, census index) -> (the piece leaving it that way, the vertex
+    # at its far end or None for a ray); canonical pieces end at vertices
     leaving = {}
     for s in m.segments:
-        leaving[(s.base, s.direction.name)] = s
-        if not s.is_ray:
-            leaving[(s.end, s.direction.opposite().name)] = s
+        x, y, z = s.base.coords()
+        a = at[x, y, z]
+        di = _DIR_INDEX[s.direction.name]
+        if s.is_ray:
+            leaving[a, di] = (s, None)
+            continue
+        dx, dy, dz = s.direction.step
+        length = s.length
+        b = at[x + length * dx, y + length * dy, z + length * dz]
+        leaving[a, di] = (s, b)
+        leaving[b, (di + 3) % 6] = (s, a)
 
     edges, half_edges = [], []
     seen = set()
     used_rays = set()
-    for i, v in enumerate(nodes):
+    for start, i in node_of.items():
         for di, d in enumerate(DIRECTION_ORDER):
-            if v.mults[di] == 0:
+            if verts[start].mults[di] == 0:
                 continue
-            p = v.location
+            k = start
             length = 0
             while True:
-                s = leaving[(p, d.name)]
-                if s.is_ray:
-                    used_rays.add(s)
-                    half_edges.append(HalfEdge(i, d, p[d.constant_axis]))
+                s, far = leaving[k, di]
+                if far is None:
+                    used_rays.add((k, di))
+                    half_edges.append(HalfEdge(
+                        i, d, verts[k].location[d.constant_axis]))
                     break
-                q = s.end if s.base == p else s.base
                 length += s.length
-                wv = vert_at[q]
-                if wv.kind == "crossing":
-                    p = q
+                k = far
+                if verts[k].kind == "crossing":
                     continue
-                j = node_idx[q]
-                key = frozenset({(i, d.name), (j, d.opposite().name)})
+                j = node_of[k]
+                key = frozenset({(i, di), (j, (di + 3) % 6)})
                 if key not in seen:
                     seen.add(key)
                     edges.append(ElisionEdge(i, j, d, coord(length)))
@@ -241,16 +254,20 @@ def elide(m: Diagram) -> PostElisionGraph:
 
     free_lines = []
     for s in m.segments:
-        if s.is_ray and s not in used_rays:
-            used_rays.add(s)
-            p, d = s.base, s.direction.opposite()
-            while True:
-                t = leaving[(p, d.name)]
-                if t.is_ray:
-                    used_rays.add(t)
-                    free_lines.append((d.constant_axis, t.constant()))
-                    break
-                p = t.end if t.base == p else t.base
+        if not s.is_ray:
+            continue
+        k = at[s.base.coords()]
+        di = _DIR_INDEX[s.direction.name]
+        if (k, di) in used_rays:
+            continue
+        di = (di + 3) % 6
+        while True:
+            t, far = leaving[k, di]
+            if far is None:
+                used_rays.add((k, di))
+                free_lines.append((t.direction.constant_axis, t.constant()))
+                break
+            k = far
     return PostElisionGraph(nodes, edges, half_edges, free_lines)
 
 

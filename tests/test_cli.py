@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from types import SimpleNamespace
@@ -263,6 +264,36 @@ class TestRender:
     def test_wrong_shape_exits_2(self, tmp_path, payload):
         path = save(tmp_path, "bad.json", payload)
         assert one_line_exit_2(run("render", path, "-o", "/dev/null"))
+
+    @pytest.mark.parametrize("payload", [
+        {"type": [1, 0, 1, 0, 1, 0], "positions": ["000"]},
+        {"type": [1, 0, 1, 0, 1, 0], "positions": [[True, False, -1]]},
+        {"type": [1, 0, 1, 0, 1, 0], "positions": [["0", "0", "0", "0"]]},
+        [{"base": "000", "direction": "NE", "length": "2"}],
+        [{"base": [0, False, 0], "direction": "NE", "length": "2"}],
+    ])
+    def test_point_of_wrong_shape_exits_2(self, tmp_path, payload):
+        path = save(tmp_path, "bad.json", payload)
+        assert one_line_exit_2(run("render", path, "-o", "/dev/null"))
+
+    def test_unknown_direction_is_named(self, tmp_path):
+        path = save(tmp_path, "bad.json", [
+            {"base": ["0", "0", "0"], "direction": "N", "length": "2"}])
+        result = run("render", path, "-o", "/dev/null")
+        assert one_line_exit_2(result)
+        assert "unknown direction 'N'" in result[2]
+
+    @pytest.mark.parametrize("command", ["render", "overlay"])
+    def test_huge_type_refused_before_building(self, tmp_path, command):
+        path = save(tmp_path, "huge.json", {
+            "type": [10 ** 5, 0, 10 ** 5, 0, 10 ** 5, 0], "positions": []})
+        argv = (path, "-o", "/dev/null") if command == "render" else (
+            path, path)
+        start = time.perf_counter()
+        result = run(command, *argv)
+        assert time.perf_counter() - start < 1
+        assert one_line_exit_2(result)
+        assert "expected 10000000000 positions" in result[2]
 
     def test_loose_end_exits_5(self, tmp_path):
         path = save(tmp_path, "loose.json",

@@ -1,7 +1,9 @@
 """Diagrams of honeycombs: canonicalization, vertex kinds, degeneracy."""
 
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,11 @@ from hivecomb import (DIRECTIONS, INF, BoundaryTriple, PlanePoint,
                       standard_configuration, tension)
 from hivecomb.diagram import VERTEX_KINDS
 from hivecomb.errors import NotADiagram
+from hivecomb.hive import exists_lattice_hive
+from hivecomb.lift import largest_lift
+from hivecomb.weights import boundary_grid
+
+import diagram_reference
 
 F = Fraction
 O = PlanePoint(0, 0, 0)
@@ -86,6 +93,104 @@ class TestCanonicalDiagram:
                  SegmentOrRay(PlanePoint(1, -1, 0), DIRECTIONS["NE"], INF),
                  SegmentOrRay(PlanePoint(1, -1, 0), DIRECTIONS["SW"], INF)])
         assert ex.value.reason == "parallel-lines"
+
+
+def outcome(canon, pieces):
+    """Segments and (location, mults, kind) per vertex, or the reason and
+    message of the NotADiagram raised."""
+    try:
+        m = canon(pieces)
+    except NotADiagram as ex:
+        return ex.reason, str(ex)
+    return m.segments, [(v.location, v.mults, v.kind) for v in m.vertices]
+
+
+def full_line(base, name):
+    """Two opposite rays from base: a whole line with a breakpoint there."""
+    d = DIRECTIONS[name]
+    return [SegmentOrRay(base, d, INF), SegmentOrRay(base, d.opposite(), INF)]
+
+
+Y_AT_O = [SegmentOrRay(O, DIRECTIONS[d], INF) for d in ("NE", "SE", "W")]
+
+
+class TestCandidatePoints:
+    """canonical_diagram classifies only line breakpoints and crossings of
+    two measured lines; the replaced version classified every crossing."""
+
+    def test_crossing_away_from_every_breakpoint(self):
+        # the line x = 5 breaks at y = -10 and meets the W ray of the Y,
+        # which breaks only at O, at (5, -5, 0)
+        pieces = Y_AT_O + full_line(PlanePoint(5, -10, 5), "NE")
+        m = canonical_diagram(pieces)
+        p = PlanePoint(5, -5, 0)
+        assert [(v.location, v.kind) for v in m.vertices] == [
+            (O, "Y"), (p, "crossing")]
+        assert m.vertex_at(p).mults == (1, 1, 0, 1, 1, 0)
+        assert Counter(s.base for s in m.segments) == {O: 3, p: 3}
+        assert outcome(canonical_diagram, pieces) == outcome(
+            diagram_reference.canonical_diagram, pieces)
+
+    def test_unmeasured_third_line(self):
+        # two whole lines cross at O; the line y = 0 through O carries
+        # measure only from the inverted Y at (2, 0, -2) on, away from O
+        s = PlanePoint(2, 0, -2)
+        pieces = (full_line(O, "NE") + full_line(O, "W")
+                  + [SegmentOrRay(s, DIRECTIONS[d], INF)
+                     for d in ("E", "SW", "NW")])
+        m = canonical_diagram(pieces)
+        assert {(v.location, v.kind) for v in m.vertices} == {
+            (O, "crossing"), (s, "inverted-Y"),
+            (PlanePoint(0, 2, -2), "crossing"),
+            (PlanePoint(2, -2, 0), "crossing")}
+        assert m.vertex_at(O).mults == (1, 1, 0, 1, 1, 0)
+        assert outcome(canonical_diagram, pieces) == outcome(
+            diagram_reference.canonical_diagram, pieces)
+
+
+@cache
+def lift_diagrams():
+    rng = random.Random("lift diagrams")
+    ts = [t for t in boundary_grid(3, 2, 2)
+          if t.regular and exists_lattice_hive(t)]
+    ts = rng.sample(ts, 4) + [BoundaryTriple((1, 0), (1, 0), (0, -2))]
+    return [diagram(hive_to_honeycomb(largest_lift(t).hive)) for t in ts]
+
+
+def random_bag(rng):
+    """Translated copies of 1-3 lift diagrams, some with a loose end made
+    by dropping, shortening or adding a piece."""
+    pieces = []
+    for m in rng.sample(lift_diagrams(), rng.randint(1, 3)):
+        den = rng.choice((1, 1, 2))
+        a, b = (F(rng.randint(-4, 4), den) for _ in range(2))
+        pieces += m.translate((a, b, -a - b)).segments
+    change = rng.choice(("none", "none", "drop", "shorten", "add"))
+    if change == "drop":
+        pieces.pop(rng.randrange(len(pieces)))
+    elif change == "shorten":
+        k = rng.choice([i for i, s in enumerate(pieces) if not s.is_ray])
+        s = pieces[k]
+        if s.length > 1:
+            pieces[k] = SegmentOrRay(s.base, s.direction, s.length - 1,
+                                     s.multiplicity)
+    elif change == "add":
+        base = rng.choice(pieces).base
+        pieces.append(SegmentOrRay(base, rng.choice(list(DIRECTIONS.values())),
+                                   rng.choice((1, 2, INF))))
+    rng.shuffle(pieces)
+    return pieces
+
+
+def test_matches_reference_on_random_bags():
+    rng = random.Random(15)
+    seen = Counter()
+    for _ in range(300):
+        pieces = random_bag(rng)
+        got = outcome(canonical_diagram, pieces)
+        assert got == outcome(diagram_reference.canonical_diagram, pieces)
+        seen[got[0] if isinstance(got[0], str) else "diagram"] += 1
+    assert seen["diagram"] >= 150 and seen["tension"] >= 30, seen
 
 
 class TestDiagramOfHoneycomb:

@@ -1,5 +1,6 @@
 """Tinkertoys and their configurations: axioms, duals, boundary readings."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from hivecomb import (DIRECTIONS, BoundaryTriple, DirectionViolation, Edge,
                       validate_configuration)
 from hivecomb.honeycomb import (Partition, dual_pair, dual_polygon,
                                 dual_sides, is_head, is_lattice_vertex,
-                                is_root_point, is_tail, triangle)
+                                is_root_point, is_tail, tinkertoy_size,
+                                triangle)
 
 F = Fraction
 
@@ -98,6 +100,22 @@ class TestTinkertoy:
     def test_from_type_requires_balance(self):
         with pytest.raises(TypeDoesNotClose):
             build_tinkertoy_from_type((1, 0, 0, 0, 0, 0))
+        with pytest.raises(TypeDoesNotClose):
+            tinkertoy_size((1, 0, 0, 0, 0, 0))
+
+    def test_size_without_building(self):
+        assert [tinkertoy_size(c) for c in (
+            (1, 0, 1, 0, 1, 0), (2, 0, 2, 0, 2, 0), (3, 0, 3, 0, 3, 0),
+            (2, 1, 2, 1, 2, 1))] == [1, 4, 9, 13]
+        closing = 0
+        for census in itertools.product(range(3), repeat=6):
+            try:
+                size = tinkertoy_size(census)
+            except TypeDoesNotClose:
+                continue
+            closing += 1
+            assert size == len(build_tinkertoy_from_type(census).vertices)
+        assert closing == 38
 
 
 def triangle_ring():

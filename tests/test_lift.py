@@ -592,6 +592,18 @@ class TestNonintegralVertex:
         assert len(hits) == 3 and hits[0] != min(hits, key=entries)
         assert find_nonintegral_vertex(5, 3, boundaries=[t]) == (t, hits[0])
 
+    def test_corrupted_hit_raises(self, monkeypatch):
+        """Hits are re-verified by checks that python -O keeps."""
+        found = lift_module._vertices
+
+        def corrupted(rows, low):
+            return [((x[0] + 1000 * s, *x[1:]), s, z)
+                    for x, s, z in found(rows, low)]
+
+        monkeypatch.setattr(lift_module, "_vertices", corrupted)
+        with pytest.raises(RuntimeError):
+            find_nonintegral_vertex(5, 2, boundaries=[WITNESS])
+
     def test_boundary_grid(self):
         grid = list(boundary_grid(3, 2, 2))
         assert len(list(boundary_grid(2, 2, 2))) == 351 and len(grid) == 3413
