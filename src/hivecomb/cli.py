@@ -275,7 +275,10 @@ def cmd_overlay(args) -> int:
     h1 = honeycomb_from_json(_load_json(args.first))
     h2 = honeycomb_from_json(_load_json(args.second))
     combined = overlay(h1, h2)
-    assert reconstruct(diagram(combined)) == combined
+    if reconstruct(diagram(combined)) != combined:
+        print("verification failed: the overlay does not reconstruct from "
+              "its diagram", file=sys.stderr)
+        return 3
     _emit(json.dumps(honeycomb_to_json(combined), indent=2), args.output)
     return 0
 

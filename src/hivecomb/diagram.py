@@ -219,8 +219,7 @@ def canonical_diagram(pieces) -> Diagram:
     """Rebuild an arbitrary bag of pieces into canonical diagram form.
 
     Overlapping collinear measure adds.  Raises NotADiagram when the measure
-    has loose ends or unbalanced branch points ("tension"), when its support
-    keeps a whole line away from every vertex ("disconnected"), or when there
+    has loose ends or unbalanced branch points ("tension"), or when there
     are no vertices at all ("parallel-lines").
     """
     lines = {}
@@ -249,6 +248,14 @@ def _canonical(lines) -> Diagram:
     point has at most one measured line through it, not at a breakpoint,
     so it is empty or the measure passes straight through.  Points are
     coordinate tuples until one is classified as a vertex.
+
+    Every line is cut at a vertex.  A line without one has no breakpoint
+    (a loose end, raised first), so it is a whole line a = c of constant
+    positive multiplicity.  If some vertex has a < c, the one with the
+    largest such a has no ray with a increasing (it would reach a vertex
+    with larger a or cross the line, at a vertex), so by balance none with
+    a decreasing either, and is no vertex.  Likewise above c, and some
+    vertex exists.
     """
     profiles = {key: _LineProfile(key, spans) for key, spans in lines.items()}
 
@@ -300,9 +307,6 @@ def _canonical(lines) -> Diagram:
     segments = []
     for key, prof in profiles.items():
         at = cuts[key]
-        if not at:
-            raise NotADiagram("disconnected",
-                              f"line {key} avoids every vertex")
         params = sorted(at)
         up = AXIS_POSITIVE[prof.axis]
         spans = ([(None, params[0])]

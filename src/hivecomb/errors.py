@@ -50,7 +50,7 @@ class UnknownPattern(HivecombError):
 class NotADiagram(HivecombError):
     """Input measure fails one of the honeycomb-diagram axioms.
 
-    ``reason`` is one of: "tension", "disconnected", "parallel-lines",
+    ``reason`` is one of: "tension", "parallel-lines",
     "nonintegral-multiplicity", "monodromy".
     """
 

@@ -22,10 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import RhombusViolation
-from .honeycomb import (Honeycomb, Partition, _add, _sub, build_gl_tinkertoy,
-                        dual_graph, triangle, validate_configuration)
-from .plane import coord, frac, perp_step
+from .errors import DirectionViolation, RhombusViolation
+from .honeycomb import (Honeycomb, Partition, build_gl_tinkertoy, dual_graph,
+                        triangle, validate_configuration)
+from .plane import coord, frac
 from .weights import (BoundaryTriple, as_weight, dominant_vectors, is_integral,
                       sigma_to_nu)
 
@@ -277,7 +277,9 @@ def _gl_size(census):
 @cache
 def _vertex_table(n):
     """tau_n with, for each vertex in sorted order, the flat indices of the
-    entries that give its coordinates: (below, above) per axis.
+    entries that give its coordinates: (below, above) per axis; and the
+    inverse, one (earlier entry, vertex index, axis, sign) per entry after
+    the zero corner, in flat order.
 
     The dual points of a vertex sit one below, level with and one above it
     on each axis; that coordinate is the entry below minus the one above.
@@ -285,14 +287,19 @@ def _vertex_table(n):
     """
     t = build_gl_tinkertoy(n)
     flat = {root_of(n, i, j): _flat(i, j) for i, j in hive_indices(n)}
-    rows = []
-    for v in t.sorted_vertices:
+    rows, fill = [], {}
+    for k, v in enumerate(t.sorted_vertices):
         tri = triangle(v)
-        rows.append((v, tuple(
-            (flat[next(p for p in tri if p[a] == v[a] - 1)],
-             flat[next(p for p in tri if p[a] == v[a] + 1)])
-            for a in range(3))))
-    return t, tuple(rows)
+        axes = tuple((flat[next(p for p in tri if p[a] == v[a] - 1)],
+                      flat[next(p for p in tri if p[a] == v[a] + 1)])
+                     for a in range(3))
+        rows.append((v, axes))
+        for a, (lo, hi) in enumerate(axes):
+            if lo > hi:
+                fill.setdefault(lo, (hi, k, a, 1))
+            else:
+                fill.setdefault(hi, (lo, k, a, -1))
+    return t, tuple(rows), tuple(fill[k] for k in range(1, len(flat)))
 
 
 def hive_to_honeycomb(H: Hive) -> Honeycomb:
@@ -304,7 +311,7 @@ def hive_to_honeycomb(H: Hive) -> Honeycomb:
     bad = H.first_violation()
     if bad is not None:
         raise RhombusViolation(bad, rhombus_value(H, bad))
-    t, rows = _vertex_table(H.n)
+    t, rows, _ = _vertex_table(H.n)
     e = H._coords
     pos = {v: (e[x0] - e[x1], e[y0] - e[y1], e[z0] - e[z1])
            for v, ((x0, x1), (y0, y1), (z0, z1)) in rows}
@@ -314,43 +321,30 @@ def hive_to_honeycomb(H: Hive) -> Honeycomb:
 def honeycomb_to_hive(h: Honeycomb) -> Hive:
     """Invert hive_to_honeycomb, pinning the zero-corner entry to 0.
 
-    Crossing the line of an edge with tail-to-head label d adds that edge's
-    constant coordinate: H(p) - H(q) = constant whenever p - q = perp_step(d).
-    The filling is path-independent for valid configurations; every dual
-    edge is checked.
+    Each entry after the zero corner is an earlier one plus or minus one
+    vertex coordinate (_vertex_table).  The hive is then mapped back onto
+    every position; a mismatch means some edge is off its axis, and raises
+    DirectionViolation.  The tinkertoy of a type is unique up to
+    translation, which keeps the sorted order, so h's vertices line up with
+    the table's rows.
     """
     n = _gl_size(h.tinkertoy.type)
-    std = build_gl_tinkertoy(n)
-    if h.tinkertoy != std:
-        # relabel vertices onto the standard tinkertoy, keeping positions
-        shift = _sub(std.sorted_vertices[0], h.tinkertoy.sorted_vertices[0])
-        pos = {_add(v, shift): h.position(v) for v in h.tinkertoy.vertices}
-        return honeycomb_to_hive(validate_configuration(std, pos))
-    dg = dual_graph(std)
-    start = root_of(n, 0, 0)
-    values = {start: Fraction(0)}
-    queue = [start]
-    steps = {}
-    for e in std.edges:
-        p, q = dg.dual_of[e]
-        c = h.edge_constant(e)
-        d = perp_step(e.direction)
-        if _sub(p, q) != d:
-            p, q = q, p
-        assert _sub(p, q) == d
-        steps.setdefault(p, []).append((q, -c, e))
-        steps.setdefault(q, []).append((p, c, e))
-    while queue:
-        p = queue.pop()
-        for q, delta, e in steps[p]:
-            w = values[p] + delta
-            if q in values:
-                assert values[q] == w, f"inconsistent filling across {e}"
-            else:
-                values[q] = w
-                queue.append(q)
-    ent = [values[root_of(n, i, j)] for i, j in hive_indices(n)]
-    return Hive(n, ent)
+    _, rows, fill = _vertex_table(n)
+    verts = h.tinkertoy.sorted_vertices
+    pos = [h.position(v).coords() for v in verts]
+    e = [0]
+    for other, k, a, sign in fill:
+        e.append(e[other] + sign * pos[k][a])
+    for v, p, (_, axes) in zip(verts, pos, rows):
+        for a, (lo, hi) in enumerate(axes):
+            if e[lo] - e[hi] != p[a]:
+                edge = next(x for x in h.tinkertoy.edges
+                            if v in (x.tail, x.head)
+                            and x.direction.constant_axis == a)
+                raise DirectionViolation(
+                    edge, f"constant coordinate {p[a]} at {v}, but the hive "
+                    f"filled from the other positions gives {e[lo] - e[hi]}")
+    return Hive(n, e)
 
 
 # ---------------------------------------------------------------------------

@@ -222,25 +222,6 @@ class Tinkertoy:
         return f"Tinkertoy(type={self.type}, {len(self.vertices)} vertices)"
 
 
-@cache
-def build_gl_tinkertoy(n: int) -> Tinkertoy:
-    """The GL_n tinkertoy: lattice vertices with j + 3n >= i >= k >= j.
-    Built once per n and shared; a Tinkertoy is only set in __init__."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    verts = []
-    for i in range(-2 * n, 2 * n + 1):
-        for j in range(-2 * n, 2 * n + 1):
-            k = -i - j
-            if (2 * i + j) % 3 == 0:
-                continue
-            if j + 3 * n >= i >= k >= j:
-                verts.append((i, j, k))
-    t = Tinkertoy(verts)
-    assert len(t.vertices) == n * n and t.type == (n, 0, n, 0, n, 0)
-    return t
-
-
 def dual_sides(census) -> dict:
     """Start and end corner of each side of a type's dual region, keyed by
     ray class, walking counterclockwise from the origin (one side per
@@ -332,8 +313,7 @@ def build_tinkertoy_from_type(census) -> Tinkertoy:
     """The unique tinkertoy of a boundary type, in standard position.
 
     Standard position pins the translation ambiguity: the dual region's walk
-    starts at the origin, so (n,0,n,0,n,0) reproduces build_gl_tinkertoy(n)
-    exactly.
+    starts at the origin.
     """
     corners = dual_polygon(census)
     verts = vertices_in_dual_region(corners)
@@ -342,6 +322,15 @@ def build_tinkertoy_from_type(census) -> Tinkertoy:
     t = Tinkertoy(verts)
     assert t.type == tuple(int(c) for c in census)
     return t
+
+
+@cache
+def build_gl_tinkertoy(n: int) -> Tinkertoy:
+    """The GL_n tinkertoy: type (n, 0, n, 0, n, 0) in standard position.
+    Built once per n and shared; a Tinkertoy is only set in __init__."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return build_tinkertoy_from_type((n, 0, n, 0, n, 0))
 
 
 class Honeycomb:
@@ -368,10 +357,6 @@ class Honeycomb:
 
     def edge_length(self, e: Edge):
         return self._lengths[e]
-
-    def edge_constant(self, e: Edge):
-        """The constant coordinate of an edge in this configuration."""
-        return self._pos[e.anchor][e.direction.constant_axis]
 
     @property
     def degenerate_edges(self):

@@ -26,7 +26,7 @@ from functools import lru_cache
 from .diagram import diagram
 from .errors import (DegenerateOptimum, HasCycle, NotDegenerate,
                      NotSimplyDegenerate, RhombusViolation)
-from .hive import (Hive, HiveShape, _plan, _rhombus_between,
+from .hive import (Hive, HiveShape, _flat, _plan, _rhombus_between,
                    boundary_from_weights, hive_indices, hive_to_honeycomb,
                    rhombi, rhombus_value, root_of)
 from .honeycomb import _add, build_tinkertoy_from_type, dual_graph
@@ -86,11 +86,14 @@ class WeightFunction:
 def make_weight_function(n, seed=0) -> WeightFunction:
     """A seeded generic weight function for the size-n triangle.
 
-    Base value M - |center|^2 at each hexagon, with M large enough that
-    superharmonicity holds with slack at least 6 even where neighbors are
-    missing, plus a perturbation drawn uniformly from (0, 1) in steps of
-    2^-(10+attempt).  The slack absorbs any such perturbation, so attempt 0
-    already verifies; the retry loop only shrinks the perturbation further.
+    Base value M - |c|^2 at each hexagon with center c (root_of),
+    M = 1 + 6 max |c|^2, plus a perturbation drawn uniformly from (0, 1) in
+    steps of 2^-10.  Centers are nonzero root-lattice vectors, so
+    |c|^2 >= 6, and neighboring centers differ by a step of square length 6.
+    With all six neighbors hexagons the base leaves superharmonic slack
+    6 * 6 = 36; with k <= 5 of them, (6 - k) M - 6 |c|^2 + (their |c|^2)
+    >= 1 + 6k.  The perturbation costs less than k <= 6, so the one draw,
+    attempt 0, always verifies.
 
     Built and verified once per (n, seed): later calls return the same
     object, so it is immutable by contract.
@@ -98,18 +101,10 @@ def make_weight_function(n, seed=0) -> WeightFunction:
     interior = sorted(HiveShape(n).interior())
     sq = {p: sum(c * c for c in root_of(n, *p)) for p in interior}
     M = 1 + 6 * max(sq.values(), default=0)
-    for attempt in range(64):
-        rng = random.Random(f"{seed}:{n}:{attempt}")
-        scale = Fraction(1, 1 << (10 + attempt))
-        values = {p: M - sq[p] + rng.randrange(1, 1 << 10) * scale
-                  for p in interior}
-        try:
-            return WeightFunction(n, values, seed=seed, attempt=attempt)
-        except ValueError:
-            log.info("weight function for n=%d seed=%r failed verification "
-                     "at attempt %d, shrinking perturbation", n, seed, attempt)
-    raise AssertionError("perturbation below the superharmonic slack "
-                         "still failed verification")
+    rng = random.Random(f"{seed}:{n}:0")
+    values = {p: M - sq[p] + Fraction(rng.randrange(1, 1 << 10), 1 << 10)
+              for p in interior}
+    return WeightFunction(n, values, seed=seed, attempt=0)
 
 
 class ObjectiveVector:
@@ -199,17 +194,19 @@ def inflation_vector(n, p) -> InflationVector:
     return InflationVector(n, ((p, Fraction(1)),))
 
 
-def _as_direction(n, regions) -> InflationVector:
+def _as_direction(n, regions) -> dict:
+    """The summed inflation amounts of regions, keyed by entry."""
     if isinstance(regions, InflationVector):
         if regions.n != n:
             raise ValueError("sizes differ")
-        return regions
+        return dict(regions.amounts)
     regions = [regions] if isinstance(regions, tuple) and regions and \
         not isinstance(regions[0], tuple) else list(regions)
-    vec = InflationVector(n, ())
+    amounts = {}
     for p in regions:
-        vec = vec + inflation_vector(n, p)
-    return vec
+        for q, v in inflation_vector(n, p).amounts:
+            amounts[q] = amounts.get(q, 0) + v
+    return amounts
 
 
 def inflate(H: Hive, regions, eps) -> Hive:
@@ -220,10 +217,10 @@ def inflate(H: Hive, regions, eps) -> Hive:
     raises RhombusViolation.
     """
     eps = frac(eps)
-    vec = _as_direction(H.n, regions)
-    out = H
-    for p, v in vec.amounts:
-        out = out.replaced(p, out[p] + eps * v)
+    ent = list(H.entries)
+    for p, v in _as_direction(H.n, regions).items():
+        ent[_flat(*p)] += eps * v
+    out = Hive(H.n, ent)
     bad = out.first_violation()
     if bad is not None:
         raise RhombusViolation(bad, rhombus_value(out, bad))
@@ -232,11 +229,11 @@ def inflate(H: Hive, regions, eps) -> Hive:
 
 def max_inflation(H: Hive, regions) -> Fraction:
     """The largest eps for which inflate(H, regions, eps) stays a hive."""
-    vec = _as_direction(H.n, regions)
+    amount = _as_direction(H.n, regions).get
     best = None
     for r in rhombi(H.n):
-        rate = (vec.amount(r.obtuse[0]) + vec.amount(r.obtuse[1])
-                - vec.amount(r.acute[0]) - vec.amount(r.acute[1]))
+        rate = (amount(r.obtuse[0], 0) + amount(r.obtuse[1], 0)
+                - amount(r.acute[0], 0) - amount(r.acute[1], 0))
         if rate < 0:
             bound = Fraction(rhombus_value(H, r), -rate)
             if best is None or bound < best:

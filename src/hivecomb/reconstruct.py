@@ -31,8 +31,14 @@ def reconstruct(m: Diagram) -> Honeycomb:
 
     The result's tinkertoy is the type's standard-position tinkertoy, so
     honeycombs of standard tinkertoys round-trip on the nose.  NotADiagram
-    explains any failure: fractional multiplicities, disconnected support,
-    or region gluings that do not match up ("monodromy").
+    explains any failure: fractional multiplicities or region gluings that
+    do not match up ("monodromy").
+
+    The walk over finite pieces reaches every vertex.  Each connected part
+    of the support is a balanced tropical plane curve with a vertex, so its
+    Newton polygon is two-dimensional, and two such curves always meet
+    (Richter-Gebert, Sturmfels and Theobald 2005): at a vertex of the
+    canonical form, or on a line it cuts at one.
     """
     m = canonical_diagram(m.segments)
     for s in m.segments:
@@ -43,7 +49,6 @@ def reconstruct(m: Diagram) -> Honeycomb:
     at = {v.location: i for i, v in enumerate(m.vertices)}
     nverts = len(m.vertices)
     adj = [[] for _ in range(nverts)]
-    support = Partition(range(nverts))
     for s in m.segments:
         if s.is_ray:
             assert s.base in at
@@ -51,9 +56,6 @@ def reconstruct(m: Diagram) -> Honeycomb:
         a, b = at[s.base], at[s.end]
         adj[a].append((b, s.direction))
         adj[b].append((a, s.direction.opposite()))
-        support.union(a, b)
-    if len(support.classes()) > 1:
-        raise NotADiagram("disconnected", "support has several components")
 
     census = m.ray_census()
     census = tuple(int(c) for c in census)
@@ -111,7 +113,8 @@ def reconstruct(m: Diagram) -> Honeycomb:
         h = validate_configuration(whole, pos)
     except DirectionViolation as ex:
         raise NotADiagram("monodromy", str(ex)) from ex
-    assert diagram(h) == m
+    if diagram(h) != m:
+        raise RuntimeError("reconstructed honeycomb has another diagram")
     return h
 
 

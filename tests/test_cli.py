@@ -321,6 +321,13 @@ class TestOverlayCli:
         path = save(tmp_path, "h.json", cli.honeycomb_to_json(std(2)))
         assert run("overlay", path, str(tmp_path / "nope.json"))[0] == 2
 
+    def test_failed_verification_exits_3(self, tmp_path, monkeypatch):
+        path = save(tmp_path, "h.json", cli.honeycomb_to_json(std(2)))
+        monkeypatch.setattr(cli, "reconstruct", lambda m: std(2))
+        code, out, err = run("overlay", path, path)
+        assert (code, out) == (3, "")
+        assert err.startswith("verification failed")
+
     def test_wrong_shape_exits_2(self, tmp_path):
         path = save(tmp_path, "h.json", cli.honeycomb_to_json(std(2)))
         bad = save(tmp_path, "bad.json", [1])

@@ -1,7 +1,11 @@
 """Hive arrays: rhombus inequalities, counting, and honeycomb duality."""
 
 import gc
+import inspect
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,7 +22,10 @@ from hivecomb import (BoundaryTriple, Hive, HiveShape, RhombusViolation,
                       exists_lattice_hive, flatspace_decomposition,
                       hive_to_honeycomb, honeycomb_to_hive, rhombi,
                       rhombus_value, sigma_to_nu)
+import hivecomb
+from hivecomb.errors import DirectionViolation
 from hivecomb.hive import hive_index_of, root_of
+from hivecomb.honeycomb import _add, build_gl_tinkertoy, validate_configuration
 from hivecomb.oracles import lr_coefficient_tableaux
 from hivecomb import _kernels
 from hivecomb.hive import _flat, _plan
@@ -328,6 +335,26 @@ def test_no_reference_cycles(call):
     assert gc.collect() == 0
 
 
+#: (vertex index, step): a head and a tail of the adjoint honeycomb, each
+#: moved so that some edge leaves its axis.
+MOVED_VERTEX_CASES = ((1, (1, 0, -1)), (4, (1, 0, -1)))
+
+
+def moved_vertex_honeycomb(k, step):
+    """The first adjoint honeycomb with vertex k moved by step, built
+    without validate_configuration.  Self-contained, so that the python -O
+    test can run its source."""
+    from hivecomb import (BoundaryTriple, enumerate_lattice_hives,
+                          hive_to_honeycomb)
+    from hivecomb.honeycomb import Honeycomb
+    t = BoundaryTriple((2, 1, 0), (2, 1, 0), (-1, -2, -3))
+    h = hive_to_honeycomb(enumerate_lattice_hives(t)[0])
+    pos = h.positions
+    v = h.tinkertoy.sorted_vertices[k]
+    pos[v] = pos[v].translate(step)
+    return Honeycomb(h.tinkertoy, pos, {})
+
+
 class TestHoneycombDuality:
     def test_roundtrip_adjoint(self):
         for H in enumerate_lattice_hives(ADJ):
@@ -340,6 +367,36 @@ class TestHoneycombDuality:
             h = hive_to_honeycomb(H)
             assert honeycomb_to_hive(h) == H
             assert h.boundary_conditions() == boundary_conditions_of(H)
+
+    def test_roundtrip_translated_tinkertoy(self):
+        shift = (2, -1, -1)
+        for H in enumerate_lattice_hives(ADJ):
+            h = hive_to_honeycomb(H)
+            moved = validate_configuration(
+                build_gl_tinkertoy(3).translate(shift),
+                {_add(v, shift): p for v, p in h.positions.items()})
+            assert moved.tinkertoy != h.tinkertoy
+            assert honeycomb_to_hive(moved) == H
+
+    @pytest.mark.parametrize("k, step", MOVED_VERTEX_CASES)
+    def test_moved_vertex_raises(self, k, step):
+        with pytest.raises(DirectionViolation):
+            honeycomb_to_hive(moved_vertex_honeycomb(k, step))
+
+    def test_moved_vertex_raises_under_optimize(self):
+        # the check is no assert, so python -O keeps it
+        src = os.path.dirname(os.path.dirname(hivecomb.__file__))
+        script = inspect.getsource(moved_vertex_honeycomb) + (
+            "from hivecomb import DirectionViolation, honeycomb_to_hive\n"
+            "for case in %r:\n"
+            "    try:\n"
+            "        print(honeycomb_to_hive(moved_vertex_honeycomb(*case)))\n"
+            "    except DirectionViolation:\n"
+            "        print('DirectionViolation')\n" % (MOVED_VERTEX_CASES,))
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["DirectionViolation"] * 2
 
     def test_edge_lengths_are_rhombus_values(self):
         rng = random.Random(29)

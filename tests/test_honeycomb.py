@@ -60,6 +60,15 @@ class TestTinkertoy:
             assert t.type == (n, 0, n, 0, n, 0)
             assert len(t.boundary_edges) == 3 * n
 
+    def test_gl_matches_closed_formula(self):
+        # tau_n as lattice vertices (i, j, k) with j + 3n >= i >= k >= j
+        for n in range(1, 9):
+            span = range(-2 * n, 2 * n + 1)
+            ref = sorted((i, j, -i - j) for i in span for j in span
+                         if is_lattice_vertex((i, j, -i - j))
+                         and j + 3 * n >= i >= -i - j >= j)
+            assert list(build_gl_tinkertoy(n).sorted_vertices) == ref
+
     def test_gl1_is_the_tripod(self):
         assert build_gl_tinkertoy(1).vertices == frozenset(TRIPOD)
 

@@ -1,5 +1,6 @@
 """Rebuilding honeycombs from diagrams, overlays, elision, loop breathing."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,15 @@ class TestReconstruct:
                     if h[(1, 1)] == 1)
         h = hive_to_honeycomb(inflate(base, (1, 1), F(1, 2)))
         assert reconstruct(diagram(h)) == h
+
+    def test_failed_self_check_raises(self, monkeypatch):
+        # the final check is no assert, so python -O keeps it
+        module = importlib.import_module("hivecomb.reconstruct")
+        m = diagram(standard_configuration(build_gl_tinkertoy(2)))
+        monkeypatch.setattr(module, "diagram",
+                            lambda h: m.translate((1, -1, 0)))
+        with pytest.raises(RuntimeError):
+            reconstruct(m)
 
     def test_fractional_multiplicity_rejected(self):
         pieces = [SegmentOrRay(O, DIRECTIONS[d], INF, multiplicity=F(3, 2))
