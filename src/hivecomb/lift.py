@@ -4,10 +4,11 @@ The optimizer maximizes a weighted sum of hexagon perimeters.  Weights are
 positive, strictly superharmonic against the six neighbors, zero off the
 hexagons, and carry a small seeded perturbation so the optimum is a single
 vertex.  In hive coordinates the objective is linear, so the whole search is
-one exact-rational LP; the report re-derives the structural facts the
-optimum is supposed to have (no 6-valent vertices, multiplicity one and an
-acyclic post-elision graph over regular boundaries, integrality over
-integral ones).
+one exact-rational LP.  The optimal bases it proves are kept per objective,
+and a boundary that one of them solves skips the simplex.  The report
+re-derives the structural facts the optimum is supposed to have (no
+6-valent vertices, multiplicity one and an acyclic post-elision graph over
+regular boundaries, integrality over integral ones).
 
 Also here: hexagon inflation directions, the molting recipes that express a
 degenerate vertex's unfolding as a sum of inflations, the leaf-stripping
@@ -19,9 +20,14 @@ enumerates each boundary's vertices exactly by double description.
 import logging
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
+
+import numpy as np
 
 from .diagram import diagram
 from .errors import (DegenerateOptimum, HasCycle, NotDegenerate,
@@ -32,7 +38,7 @@ from .hive import (Hive, HiveShape, _flat, _plan, _rhombus_between,
 from .honeycomb import _add, build_tinkertoy_from_type, dual_graph
 from .plane import DIRECTION_ORDER, frac
 from .reconstruct import elide
-from .simplex import maximize
+from .simplex import LPSolution, maximize
 from .weights import BoundaryTriple, boundary_grid
 
 log = logging.getLogger(__name__)
@@ -337,25 +343,248 @@ class LPOutcome:
         return not self.ties
 
 
+#: The basis table keeps at most this many bases per objective, dropping
+#: the oldest first, and at most this many objectives, dropping the least
+#: recently used first.
+TABLE_BASES = 256
+TABLE_OBJECTIVES = 8
+# Lookups run in int64: boundary entries stay below 2^29, and a basis
+# enters only when every row of its two maps has absolute sum at most 2^33,
+# so every product and partial sum stays below 2^62.
+_ENTRY_LIMIT = 1 << 29
+_SCALE_LIMIT = 1 << 33
+
+
+class BasisTableInfo(NamedTuple):
+    """BasisTable.cache_info(): lookups by outcome and bases held."""
+
+    hits: int
+    misses: int
+    fallthroughs: dict  # reason -> lookups sent to the simplex untried
+    bases: tuple  # bases held per objective, least recently used first
+
+
+class _Bases:
+    """The proved optimal bases of one objective, stacked for lookup.
+
+    A boundary enters as w, its entries along the walk; the row constants
+    are Q @ w.  A basis B with d = |det A_B| and adj = d * A_B^-1 has
+    vertex x with d * x = X @ w, X = -adj @ Q_B, and d times the slacks of
+    every row S @ w, S = A @ X + d * Q: two int64 maps per basis.
+    """
+
+    def __init__(self, objective):
+        n = objective.n
+        self.objective = objective
+        self.values = tuple(objective.coeffs.values())
+        plan = self.plan = _plan(n)
+        self.size = HiveShape(n).size
+        self.inter = plan.scan[0].tolist()  # flat indices, in LP order
+        self.cden = math.lcm(*[v.denominator for v in self.values])
+        cint = [v.numerator * (self.cden // v.denominator)
+                for v in (objective.coeffs[p] for p in hive_indices(n))]
+        self.cwalk = [cint[f] for f in plan.walk]
+        self.cinter = [cint[f] for f in self.inter]
+        col = {f: j for j, f in enumerate(plan.walk)}
+        m, k, width = len(plan.quads), len(self.inter), len(plan.walk)
+        self.Q = np.zeros((m, width), dtype=np.int64)
+        for r, quad in enumerate(plan.quads.tolist()):
+            for f, sign in zip(quad, (1, 1, -1, -1)):
+                if f in col:
+                    self.Q[r, col[f]] = sign
+        self.rows = []  # per basis its row indices
+        self.mults = []  # per basis the multipliers of every row
+        self.D = []  # per basis d
+        self.X = np.zeros((0, k, width), dtype=np.int64)
+        self.S = np.zeros((0, m, width), dtype=np.int64)
+
+    def add(self, rows, neg_adj, det, mults):
+        X = neg_adj @ self.Q[list(rows)]
+        S = self.plan.coefs @ X + det * self.Q
+        if max((sum(map(abs, r)) for r in X.tolist() + S.tolist()),
+               default=0) > _SCALE_LIMIT:
+            return
+        if len(self.rows) >= TABLE_BASES:
+            del self.rows[0], self.mults[0], self.D[0]
+            self.X, self.S = self.X[1:], self.S[1:]
+        self.rows.append(rows)
+        self.mults.append(mults)
+        self.D.append(det)
+        self.X = np.concatenate([self.X, X[np.newaxis]])
+        self.S = np.concatenate([self.S, S[np.newaxis]])
+
+
+def _adjugate(a):
+    """(d, adj) for a square int matrix a with adj = d * a^-1 in ints and
+    d = |det a| > 0, or None when a is singular.  Fraction-free
+    Gauss-Jordan on [a | I] (Bareiss 1968): every division is exact, and
+    the left half ends as (+-d) * I."""
+    k = len(a)
+    m = [row + [int(i == j) for j in range(k)] for i, row in enumerate(a)]
+    prev = 1
+    for c in range(k):
+        p = next((r for r in range(c, k) if m[r][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        piv = m[c]
+        p = piv[c]
+        for r, row in enumerate(m):
+            f = row[c]
+            if r != c and (f or p != prev):
+                m[r] = [(p * v - f * w) // prev for v, w in zip(row, piv)]
+        prev = p
+    s = 1 if prev > 0 else -1
+    return s * prev, [[s * v for v in row[k:]] for row in m]
+
+
+class BasisTable:
+    """Simplex bases proved optimal and unique, kept per objective.
+
+    One objective's LP keeps its rows and only moves their constants from
+    boundary to boundary (see lp_maximize).  Counters and clearing work as
+    on functools caches: cache_info() and cache_clear().
+    """
+
+    def __init__(self):
+        self._tables = OrderedDict()  # id(objective) -> _Bases
+        self.cache_clear()
+
+    def cache_clear(self):
+        self._tables.clear()
+        self.hits = self.misses = 0
+        self.fallthroughs = {"nonintegral": 0, "range": 0}
+
+    def cache_info(self) -> BasisTableInfo:
+        return BasisTableInfo(self.hits, self.misses, dict(self.fallthroughs),
+                              tuple(len(b.rows) for b in self._tables.values()))
+
+    def _bases(self, objective) -> _Bases:
+        key = id(objective)
+        bases = self._tables.get(key)
+        # the entry holds the objective, so its id is not reused meanwhile
+        if (bases is None or bases.objective is not objective
+                or bases.values != tuple(objective.coeffs.values())):
+            bases = self._tables[key] = _Bases(objective)
+            if len(self._tables) > TABLE_OBJECTIVES:
+                self._tables.popitem(last=False)
+        self._tables.move_to_end(key)
+        return bases
+
+    def lookup(self, objective, t: BoundaryTriple):
+        """The LPOutcome of the first held basis optimal over t, or None."""
+        if not t.integral:
+            self.fallthroughs["nonintegral"] += 1
+            return None
+        walk = list(accumulate(
+            [v.numerator for v in t.lam + t.mu + t.nu[:-1]]))
+        if max(map(abs, walk), default=0) >= _ENTRY_LIMIT:
+            self.fallthroughs["range"] += 1
+            return None
+        bases = self._bases(objective)
+        w = np.array(walk, dtype=np.int64)
+        # per basis its least slack, or 0 when none is negative
+        least = (bases.S @ w).min(1, initial=0).tolist()
+        if 0 not in least:
+            self.misses += 1
+            return None
+        self.hits += 1
+        i = least.index(0)
+        d, dx = bases.D[i], (bases.X[i] @ w).tolist()
+        x = tuple(Fraction(v, d) for v in dx)
+        ent = [0] * bases.size
+        for f, v in zip(bases.plan.walk, walk):
+            ent[f] = v
+        for f, v in zip(bases.inter, x):
+            ent[f] = v
+        lp_value = Fraction(sum(map(int.__mul__, bases.cinter, dx)),
+                            d * bases.cden)
+        value = lp_value + Fraction(sum(map(int.__mul__, bases.cwalk, walk)),
+                                    bases.cden)
+        return LPOutcome(Hive(t.n, ent), value,
+                         LPSolution(x, lp_value, bases.mults[i], True), ())
+
+    def learn(self, objective, sol):
+        """Hold the basis of a unique simplex optimum: the rows with a
+        positive multiplier, after checking its certificate exactly."""
+        if not sol.unique:
+            return
+        bases = self._bases(objective)
+        rows = tuple(r for r, u in enumerate(sol.multipliers) if u)
+        k = len(bases.inter)
+        if len(rows) != k or rows in bases.rows:
+            return
+        A = bases.plan.coefs[list(rows)]
+        got = _adjugate(A.tolist())
+        if got is None:
+            return
+        det, adj = got
+        if max([det] + [sum(map(abs, r)) for r in adj]) > _SCALE_LIMIT:
+            return
+        neg_adj = np.array([[-v for v in r] for r in adj],
+                           dtype=np.int64).reshape(k, k)
+        if (neg_adj @ A).tolist() != [[-det * (i == j) for j in range(k)]
+                                      for i in range(k)]:
+            raise RuntimeError("inexact adjugate of a simplex basis")
+        # the certificate, exactly in ints: u = du / (det * cden) on the rows
+        du = [sum(map(int.__mul__, col, bases.cinter))
+              for col in neg_adj.T.tolist()]
+        if min(du, default=1) <= 0 or any(
+                sum(map(int.__mul__, col, du)) != -det * cj
+                for col, cj in zip(A.T.tolist(), bases.cinter)):
+            raise RuntimeError("simplex certificate is not positive on its "
+                               "basis or does not balance the objective")
+        bases.add(rows, neg_adj, det, sol.multipliers)
+
+
+basis_table = BasisTable()
+
+
 def lp_maximize(objective: ObjectiveVector, t: BoundaryTriple) -> LPOutcome:
     """Maximize the functional over the hive polytope of boundary t.
 
     Raises Infeasible when the polytope is empty; Unbounded cannot happen
-    for hive polytopes and is left to propagate as an internal error.  The
-    simplex works on the free-basic tableau, where the interior entries
-    never leave the basis, and reads uniqueness off the optimal tableau:
-    when every nonbasic slack column has a strictly negative reduced cost,
-    the optimum is the only one and ties is empty with no further solve.
-    Otherwise the certificate is inconclusive, and every interior entry is
-    re-optimized both ways across the optimal face, so ties lists exactly
-    the entries the optimum leaves free.
+    for hive polytopes and is left to propagate as an internal error.
+
+    First the basis table (basis_table) is tried.  The rows coef.x + const
+    >= 0 of the LP are the same for every boundary of size n; only their
+    constants move.  A basis B is k rows with a nonsingular coefficient
+    matrix A_B, and its vertex x_B = -A_B^-1 const_B.  The table holds the
+    bases of earlier unique simplex optima: for each, multipliers u > 0 on
+    B with A_B^T u = -c, checked exactly when it enters.  They do not
+    depend on the constants, so B stays dual feasible over every boundary,
+    and it is optimal over t exactly when x_B satisfies every row of t.
+    Its multipliers are then strictly positive on k independent tight rows,
+    so x_B is the only optimum (Mangasarian, LAA 1979): any other optimum
+    would make all of B tight too.  A lookup takes the integer boundary
+    entries of t and, with one int64 product, det times every slack of
+    every held basis; the first basis with no negative slack is a hit, one
+    more product gives its det * x_B, and its own multipliers are the
+    certificate returned.  At a degenerate optimum, where more than k rows
+    are tight, that may be another optimal basis than the one the simplex
+    would end on; the hive, value and uniqueness are the same.  Boundaries
+    that are not integral, or have a boundary entry of 2^29 or more in
+    absolute value, skip the table.
+
+    Otherwise the simplex works on the free-basic tableau, where the
+    interior entries never leave the basis, and reads uniqueness off the
+    optimal tableau: when every nonbasic slack column has a strictly
+    negative reduced cost, the optimum is the only one and ties is empty
+    with no further solve, and the basis enters the table.  Otherwise the
+    certificate is inconclusive, and every interior entry is re-optimized
+    both ways across the optimal face, so ties lists exactly the entries
+    the optimum leaves free.
     """
     n = t.n
     if objective.n != n:
         raise ValueError("objective size does not match the boundary")
+    out = basis_table.lookup(objective, t)
+    if out is not None:
+        return out
     inter, bvals, rows = _lp_rows(t)
     c = [objective.coeffs[p] for p in inter]
     sol = maximize(c, rows)
+    basis_table.learn(objective, sol)
     entries = {**bvals, **dict(zip(inter, sol.x))}
     hive = Hive(n, [entries[p] for p in hive_indices(n)])
     value = sol.value + sum(objective.coeffs[p] * v for p, v in bvals.items())
@@ -422,7 +651,9 @@ def largest_lift(t: BoundaryTriple, w: WeightFunction = None,
     for v in dg.vertices:
         kinds[v.kind] = kinds.get(v.kind, 0) + 1
     maxmult = max((s.multiplicity for s in dg.segments), default=Fraction(1))
-    assert maxmult.denominator == 1
+    if maxmult.denominator != 1:
+        raise RuntimeError(f"largest lift over {t!r} has a diagram segment "
+                           f"of multiplicity {maxmult}")
     try:
         forest = elide(dg)
         acyclic = forest.acyclic

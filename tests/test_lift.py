@@ -1,6 +1,7 @@
 """Weighted-perimeter lifts: weights, inflation, molts, and the LP driver."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from hivecomb.oracles import enumerate_polytope_vertices
 from hivecomb.plane import PlanePoint
 from hivecomb.reconstruct import HalfEdge, PostElisionGraph
 from hivecomb import lift as lift_module
-from hivecomb.lift import _lp_rows, _vertices
+from hivecomb.cli import lift_report_to_json
+from hivecomb.lift import _lp_rows, _vertices, basis_table
 from hivecomb.weights import boundary_grid
 from hivecomb.simplex import maximize
 
@@ -370,9 +372,25 @@ class TestLargestLift:
             return maximize(c, rows)
 
         monkeypatch.setattr(lift_module, "maximize", counted)
-        rep = largest_lift(feasible_boundary(5, random.Random(5)))
+        basis_table.cache_clear()
+        t = feasible_boundary(5, random.Random(5))
+        rep = largest_lift(t)
         assert rep.retries == 0
         assert calls == [6]
+        # the second lift over t is answered by the basis the first proved
+        again = largest_lift(t)
+        assert calls == [6]
+        assert again.hive == rep.hive and again.retries == 0
+        assert again.objective_value == rep.objective_value
+        assert basis_table.cache_info().hits == 1
+
+    def test_fractional_multiplicity_raises(self, monkeypatch):
+        """The self-check on the diagram survives python -O."""
+        half = type("Segment", (), {"multiplicity": F(1, 2)})
+        fake = type("Diagram", (), {"vertices": [], "segments": [half]})
+        monkeypatch.setattr(lift_module, "diagram", lambda h: fake)
+        with pytest.raises(RuntimeError, match="multiplicity 1/2"):
+            largest_lift(ADJ)
 
     def test_negative_max_retries_rejected(self):
         with pytest.raises(ValueError):
@@ -464,6 +482,159 @@ class TestLargestLift:
         assert fractions > 0
         with pytest.raises(TypeError):
             PlanePoint(0.5, -0.5, 0)
+
+
+def simplex_outcome(ov, t):
+    """lp_maximize's hive, value and uniqueness, by the simplex alone."""
+    inter, bvals, rows = _lp_rows(t)
+    sol = maximize([ov.coeffs[p] for p in inter], rows)
+    at = {**bvals, **dict(zip(inter, sol.x))}
+    hive = Hive(t.n, [at[p] for p in hive_indices(t.n)])
+    return hive, ov.value(hive), sol.unique or reference_ties(ov, t) == ()
+
+
+def certificate_holds(ov, t, out):
+    """u >= 0, zero on every slack row, and sum u_i a_i = -c, exactly."""
+    inter, _, rows = _lp_rows(t)
+    x, u = out.certificate.x, out.certificate.multipliers
+    if len(u) != len(rows) or list(x) != [out.hive[p] for p in inter]:
+        return False
+    for ui, (coef, const) in zip(u, rows):
+        slack = sum(a * b for a, b in zip(coef, x)) + const
+        if ui < 0 or slack < 0 or (ui and slack):
+            return False
+    return all(sum(ui * coef[j] for ui, (coef, _) in zip(u, rows))
+               == -ov.coeffs[p] for j, p in enumerate(inter))
+
+
+def det(m):
+    """Laplace expansion, exact for the small matrices here."""
+    if not m:
+        return 1
+    return sum((-1) ** j * a * det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+def dual_feasible_bases(ov):
+    """Every nonsingular k-subset B of the rhombus rows with multipliers
+    u > 0 solving A_B^T u = -c (Cramer's rule), with its determinant."""
+    n = ov.n
+    zero = (0,) * n
+    inter, _, rows = _lp_rows(BoundaryTriple(zero, zero, zero))
+    c = [ov.coeffs[p] for p in inter]
+    found = {}
+    for sub in itertools.combinations(range(len(rows)), len(c)):
+        at = [list(col) for col in zip(*[rows[r][0] for r in sub])]
+        d = det(at)
+        if d and all(det([row[:r] + [-cj] + row[r + 1:]
+                          for row, cj in zip(at, c)]) * d > 0
+                     for r in range(len(c))):
+            found[sub] = d
+    return found
+
+
+class TestBasisTable:
+    def test_full_scan_at_small_n(self):
+        """The bases that can be optimal are 3 and 25 at n = 3, 4, all
+        unimodular: every optimal vertex over an integral boundary is
+        integral, chamber by chamber.  Every basis the table proves is
+        one of them."""
+        rng = random.Random(31)
+        for n, size in ((3, 3), (4, 25)):
+            ov = wperim_objective(make_weight_function(n))
+            found = dual_feasible_bases(ov)
+            assert len(found) == size
+            assert {abs(d) for d in found.values()} == {1}
+            basis_table.cache_clear()
+            for _ in range(30):
+                out = lp_maximize(ov, feasible_boundary(n, rng))
+                if out.certificate.unique:
+                    u = out.certificate.multipliers
+                    assert tuple(r for r, v in enumerate(u) if v) in found
+            assert 0 < basis_table.cache_info().bases[0] <= size
+
+    def test_answers_match_simplex(self):
+        basis_table.cache_clear()
+        rng = random.Random(37)
+        ts = [feasible_boundary(n, rng) for n in (2, 3, 4, 5)
+              for _ in range(8)]
+        hits = {}
+        for seed in (0, 1):
+            for t in ts + ts[::2]:
+                ov = wperim_objective(make_weight_function(t.n, seed))
+                before = basis_table.cache_info().hits
+                out = lp_maximize(ov, t)
+                assert (out.hive, out.value, out.unique) == \
+                    simplex_outcome(ov, t), t
+                if basis_table.cache_info().hits > before:
+                    assert out.unique and certificate_holds(ov, t, out), t
+                    hits[t.n] = hits.get(t.n, 0) + 1
+        assert sorted(hits) == [2, 3, 4, 5]
+
+    def test_fallthroughs_answer_as_before(self):
+        basis_table.cache_clear()
+        ov2 = wperim_objective(make_weight_function(2))
+        ov3 = wperim_objective(make_weight_function(3))
+        # each key now holds a basis, so each case below reaches the guard
+        lp_maximize(ov2, GL2)
+        lp_maximize(ov3, ADJ)
+        half = BoundaryTriple((F(3, 2), F(1, 2), 0), (1, F(1, 2), 0),
+                              (F(-1, 2), -1, -2))
+        for ov, t, why in ((ov3, half, "nonintegral"),
+                           (ov2, GL2.scaled(2 ** 40), "range"),
+                           (ov3, ADJ.twisted(2 ** 70, 5), "range")):
+            before = basis_table.cache_info()
+            out = lp_maximize(ov, t)
+            after = basis_table.cache_info()
+            assert after.fallthroughs[why] == before.fallthroughs[why] + 1
+            assert (after.hits, after.misses) == (before.hits, before.misses)
+            assert (out.hive, out.value, out.unique) == simplex_outcome(ov, t)
+        big = largest_lift(GL2.scaled(2 ** 40))
+        assert entries(big.hive) == [2 ** 40 * x for x in (0, 1, 2, 1, 2, 2)]
+
+    def test_zero_objective_never_enters(self):
+        basis_table.cache_clear()
+        z = ObjectiveVector(3, {p: F(0) for p in hive_indices(3)})
+        for _ in range(2):
+            out = lp_maximize(z, ADJ)
+            assert out.ties == (((1, 1), F(1), F(2)),)
+        info = basis_table.cache_info()
+        assert (info.hits, info.misses, info.bases) == (0, 2, (0,))
+
+    def test_order_does_not_change_answers(self):
+        rng = random.Random(41)
+        ts = [feasible_boundary(n, rng, 4) for n in (3, 3, 4, 4, 5)
+              for _ in range(10)]
+
+        def run(order):
+            basis_table.cache_clear()
+            got = {}
+            for i in order:
+                try:
+                    rep = largest_lift(ts[i])
+                except DegenerateOptimum as ex:
+                    got[i] = repr(ex)
+                    continue
+                got[i] = (json.dumps(lift_report_to_json(rep)), rep.retries)
+            return got
+
+        assert run(range(50)) == run(reversed(range(50)))
+        assert basis_table.cache_info().hits > 0
+
+    def test_memory_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(lift_module, "TABLE_BASES", 2)
+        monkeypatch.setattr(lift_module, "TABLE_OBJECTIVES", 2)
+        basis_table.cache_clear()
+        rng = random.Random(43)
+        for seed in range(3):
+            ov = wperim_objective(make_weight_function(4, seed))
+            for _ in range(8):
+                t = feasible_boundary(4, rng)
+                out = lp_maximize(ov, t)
+                assert (out.hive, out.value, out.unique) == \
+                    simplex_outcome(ov, t)
+        assert basis_table.cache_info().bases == (2, 2)
+        basis_table.cache_clear()
 
 
 class TestForestSolve:
