@@ -26,8 +26,7 @@ from .errors import DirectionViolation, RhombusViolation
 from .honeycomb import (Honeycomb, Partition, build_gl_tinkertoy, dual_graph,
                         triangle, validate_configuration)
 from .plane import coord, frac
-from .weights import (BoundaryTriple, as_weight, dominant_vectors, is_integral,
-                      sigma_to_nu)
+from .weights import BoundaryTriple, as_weight, dominant_vectors, is_integral
 
 
 def hive_indices(n):
@@ -354,6 +353,13 @@ def honeycomb_to_hive(h: Honeycomb) -> Hive:
 _ENTRY_LIMIT = 1 << 60
 
 
+def _check_bound(bound):
+    """OverflowError when kernel entries up to `bound` pass _ENTRY_LIMIT."""
+    if bound > _ENTRY_LIMIT:
+        raise OverflowError(f"hive entries up to {bound} do not fit the int64 "
+                            f"kernels (limit 2^60)")
+
+
 def _twist_shift(t: BoundaryTriple) -> list:
     """Entries lam_n*i + (lam_n+mu_n)*j, in flat order, by which a twist
     by (lam_n, mu_n) moves hive entry (i, j).  They are linear in (i, j),
@@ -392,10 +398,7 @@ def _kernel_row(t: BoundaryTriple):
     for o1, o2, a1, a2 in plan.fixed:
         if row[o1] + row[o2] - row[a1] - row[a2] < 0:
             return None
-    bound = max(map(abs, row)) + max(t.n - 2, 0) * (lam[0] - a)
-    if bound > _ENTRY_LIMIT:
-        raise OverflowError(f"hive entries up to {bound} do not fit the int64 "
-                            f"kernels (limit 2^60)")
+    _check_bound(max(map(abs, row)) + max(t.n - 2, 0) * (lam[0] - a))
     return np.array(row, dtype=np.int64)
 
 
@@ -435,8 +438,20 @@ def enumerate_lattice_hives(t: BoundaryTriple):
 def decompose_tensor_product(lam, mu) -> dict:
     """Multiplicities of each dominant sigma inside the product of lam and mu.
 
-    Every sigma whose boundary passes the fixed rhombi goes into one batch
-    of kernel rows tagged by sigma, counted in a single frontier walk.
+    Every boundary (lam, mu, -reverse(sigma)) is twisted by (-lam_n, -mu_n),
+    as in _kernel_row, so it is the same as listing the shifted
+    s = sigma - (lam_n + mu_n), dominant in [0, lam'_1 + mu'_1] with the
+    twisted weights lam' = lam - lam_n and mu' = mu - mu_n.  All rows are
+    built at once: one cumsum of the walk's steps, one vectorised test of
+    the boundary-only rhombi, and the survivors, tagged by s, go into one
+    frontier walk.
+
+    The bound of _kernel_row is one number for every sigma.  After the
+    twist every lam and mu step is >= 0 and every nu step, -s_i, is <= 0,
+    so every boundary entry lies in [0, P] with P = sum(lam') + sum(mu'),
+    reached at the mu corner whatever sigma is.  So
+    B = P + (n-2) lam'_1 is checked once, before any sigma is listed, and
+    OverflowError past 2^60 comes at once however many sigma there are.
     """
     lam = as_weight(lam)
     mu = as_weight(mu)
@@ -445,20 +460,28 @@ def decompose_tensor_product(lam, mu) -> dict:
     if not (is_integral(lam) and is_integral(mu)):
         raise ValueError("decomposition needs integral weights")
     n = len(lam)
-    lo = int(lam[-1] + mu[-1])
-    hi = int(lam[0] + mu[0])
-    total = int(sum(lam) + sum(mu))
-    sigmas, rows = [], []
-    for sigma in dominant_vectors(n, lo, hi, total):
-        row = _kernel_row(BoundaryTriple(lam, mu, sigma_to_nu(sigma)))
-        if row is not None:
-            sigmas.append(sigma)
-            rows.append(row)
-    if not rows:
-        return {}
-    counts, _ = _kernels.frontier(np.stack(rows), *_plan(n).scan,
-                                  ids=np.arange(len(rows)))
-    return {s: int(c) for s, c in zip(sigmas, counts) if c}
+    size = HiveShape(n).size  # ValueError at n = 0, as count_lattice_hives
+    shift = lam[-1] + mu[-1]
+    steps = [x - lam[-1] for x in lam] + [x - mu[-1] for x in mu]
+    top = sum(steps)
+    _check_bound(top + max(n - 2, 0) * steps[0])
+    shifted = np.array(dominant_vectors(n, 0, steps[0] + steps[n], top),
+                       dtype=np.int64)
+    plan = _plan(n)
+    walk_steps = np.empty((shifted.shape[0], 3 * n - 1), dtype=np.int64)
+    walk_steps[:, :2 * n] = steps
+    walk_steps[:, 2 * n:] = -shifted[:, :0:-1]
+    rows = np.zeros((shifted.shape[0], size), dtype=np.int64)
+    rows[:, plan.walk] = walk_steps.cumsum(axis=1)
+    if plan.fixed:
+        o1, o2, a1, a2 = np.array(plan.fixed, dtype=np.int64).T
+        keep = np.flatnonzero((rows[:, o1] + rows[:, o2] - rows[:, a1]
+                               - rows[:, a2] >= 0).all(axis=1))
+        shifted, rows = shifted[keep], rows[keep]
+    counts, _ = _kernels.frontier(rows, *plan.scan,
+                                  ids=np.arange(rows.shape[0]))
+    return {tuple(x + shift for x in s): c
+            for s, c in zip(shifted.tolist(), counts.tolist()) if c}
 
 
 # ---------------------------------------------------------------------------

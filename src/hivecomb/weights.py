@@ -1,8 +1,11 @@
 """Dominant weights and boundary triples.
 
 A dominant weight is a weakly decreasing vector of exact rationals (usually
-integers).  A BoundaryTriple is the (lambda, mu, nu) data on the boundary of a
-GL_n honeycomb / hive; its total sum must vanish.
+integers), held as `plane.coord` stores a value: an int where an entry is
+integral and a Fraction only where it is not.  Equal ints and Fractions
+compare, hash and print alike, so the choice is invisible to equality,
+hashing and str().  A BoundaryTriple is the (lambda, mu, nu) data on the
+boundary of a GL_n honeycomb / hive; its total sum must vanish.
 """
 
 from __future__ import annotations
@@ -11,12 +14,13 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotDominant, ZeroSumViolation
-from .plane import frac
+from .plane import coord
 
 
 def as_weight(v) -> tuple:
-    """Coerce to a tuple of Fractions; reject non-weakly-decreasing input."""
-    w = tuple(frac(x) for x in v)
+    """Coerce each entry with plane.coord (an int where integral, else a
+    Fraction); NotDominant for input that is not weakly decreasing."""
+    w = tuple(coord(x) for x in v)
     for a, b in zip(w, w[1:]):
         if a < b:
             raise NotDominant(f"{v} is not weakly decreasing")
@@ -61,7 +65,7 @@ class BoundaryTriple:
         return all(is_regular(w) for w in (self.lam, self.mu, self.nu))
 
     def scaled(self, k) -> "BoundaryTriple":
-        k = frac(k)
+        k = coord(k)
         return BoundaryTriple(tuple(k * x for x in self.lam),
                               tuple(k * x for x in self.mu),
                               tuple(k * x for x in self.nu))
@@ -72,7 +76,7 @@ class BoundaryTriple:
 
     def twisted(self, a, b) -> "BoundaryTriple":
         """Determinant twist by (a, b, -a-b) on (lambda, mu, nu)."""
-        a, b = frac(a), frac(b)
+        a, b = coord(a), coord(b)
         c = -a - b
         return BoundaryTriple(tuple(x + a for x in self.lam),
                               tuple(x + b for x in self.mu),

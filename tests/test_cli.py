@@ -116,6 +116,15 @@ class TestDecompose:
         assert one_line_exit_2(run("decompose", "-n", "4", "--lambda",
                                    "2,1,0", "--mu", "2,1,0"))
 
+    @pytest.mark.parametrize("lam, mu", [(f"{2 ** 61},0", "0,0"),
+                                         (f"{2 ** 60},0,0", "0,0,0")])
+    def test_oversized_exits_2_at_once(self, lam, mu):
+        t0 = time.perf_counter()
+        result = run("decompose", "--lambda", lam, "--mu", mu)
+        assert time.perf_counter() - t0 < 2.0
+        assert one_line_exit_2(result)
+        assert "arithmetic out of range" in result[2]
+
 
 class TestGtCount:
     def test_adjoint(self):

@@ -68,6 +68,17 @@ def dfs_count(t, exists_only=False):
     return int(count_dfs(row, *plan.scan, exists_only))
 
 
+def dfs_decomposition(lam, mu):
+    """Reference decomposition: dfs_count on each sigma, in listing order."""
+    want = []
+    for sigma in dominant_vectors(len(lam), lam[-1] + mu[-1], lam[0] + mu[0],
+                                  sum(lam) + sum(mu)):
+        c = dfs_count(BoundaryTriple(lam, mu, sigma_to_nu(sigma)))
+        if c:
+            want.append((sigma, c))
+    return want
+
+
 class TestShape:
     def test_sizes(self):
         for n in range(1, 7):
@@ -227,15 +238,27 @@ class TestCounting:
             entries = [h.entries for h in enumerate_lattice_hives(t)]
             assert len(entries) == dfs
             assert all(a < b for a, b in zip(entries, entries[1:]))
-            want = {}
-            for sigma in dominant_vectors(t.n, int(t.lam[-1] + t.mu[-1]),
-                                          int(t.lam[0] + t.mu[0]),
-                                          int(sum(t.lam) + sum(t.mu))):
-                c = dfs_count(BoundaryTriple(t.lam, t.mu, sigma_to_nu(sigma)))
-                if c:
-                    want[sigma] = c
             got = decompose_tensor_product(t.lam, t.mu)
-            assert list(got.items()) == list(want.items())
+            assert list(got.items()) == dfs_decomposition(t.lam, t.mu)
+
+    @pytest.mark.parametrize("rows, a, b", [(1, 0, 0), (7, 0, 0),
+                                            (1 << 14, 2 ** 50, -2 ** 50),
+                                            (7, -2 ** 50, 2 ** 50)])
+    def test_decomposition_split_and_twisted(self, monkeypatch, rows, a, b):
+        """The batched decomposition agrees with the reference DFS, item
+        for item, with frontier layers cut into 1 or 7 children and with
+        lam and mu twisted by (a, b): every sigma moves by a + b."""
+        monkeypatch.setattr(_kernels, "FRONTIER_ROWS", rows)
+        rng = random.Random(19)
+        for _ in range(20):
+            t = random_triple(rng, rng.randint(2, 5), span=4)
+            if t is None:
+                continue
+            want = [(tuple(x + a + b for x in sigma), c)
+                    for sigma, c in dfs_decomposition(t.lam, t.mu)]
+            got = decompose_tensor_product([x + a for x in t.lam],
+                                           [x + b for x in t.mu])
+            assert list(got.items()) == want
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_split_frontier(self, monkeypatch, rows):
@@ -305,6 +328,27 @@ class TestDecompose:
         for sigma, mult in decompose_tensor_product((2, 1, 0), (2, 1, 0)).items():
             t = BoundaryTriple((2, 1, 0), (2, 1, 0), sigma_to_nu(sigma))
             assert count_lattice_hives(t) == mult
+
+    def test_size_zero_is_a_value_error(self):
+        with pytest.raises(ValueError, match="hive size must be at least 1"):
+            decompose_tensor_product((), ())
+
+    @pytest.mark.parametrize("lam, mu", [((2 ** 61, 0), (0, 0)),
+                                         ((2 ** 60, 0, 0), (0, 0, 0))])
+    def test_oversized_refused_before_listing_sigma(self, monkeypatch, lam,
+                                                    mu):
+        """About 2^60 sigma would be listed before any row is built; the
+        one bound shared by every sigma refuses them all at once."""
+        monkeypatch.setattr(hivecomb.hive, "dominant_vectors",
+                            lambda *args: pytest.fail("sigma listed"))
+        with pytest.raises(OverflowError, match="limit 2\\^60"):
+            decompose_tensor_product(lam, mu)
+
+    def test_keys_are_int_tuples(self):
+        got = decompose_tensor_product((Fraction(4, 2), 1, 0), ("2", 1, 0))
+        assert got == decompose_tensor_product((2, 1, 0), (2, 1, 0))
+        assert {type(x) for sigma in got for x in sigma} == {int}
+        assert {type(c) for c in got.values()} == {int}
 
 
 class TestGT:
