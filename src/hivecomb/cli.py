@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from .diagram import canonical_diagram, diagram
-from .errors import (HivecombError, Infeasible, NotADiagram, NotDominant,
-                     ZeroSumViolation)
+from .errors import HivecombError, Infeasible, NotADiagram
 from .hive import (Hive, count_lattice_hives, count_gt_patterns,
                    decompose_tensor_product, exists_lattice_hive,
                    hive_indices)
@@ -67,7 +66,7 @@ def hive_to_json(h: Hive) -> dict:
 
 
 def hive_from_json(data) -> Hive:
-    return Hive(int(data["n"]), [frac(e) for e in data["entries"]])
+    return Hive(int(data["n"]), data["entries"])
 
 
 def honeycomb_to_json(h: Honeycomb) -> dict:
@@ -456,9 +455,11 @@ def main(argv=None) -> int:
     except NotADiagram as ex:
         print(f"malformed diagram: {ex}", file=sys.stderr)
         return 5
-    except (ValueError, ZeroSumViolation, NotDominant, KeyError,
-            HivecombError) as ex:
+    except (ValueError, KeyError, HivecombError) as ex:
         print(f"invalid input: {ex}", file=sys.stderr)
+        return 2
+    except RecursionError as ex:
+        print(f"input too large: {ex}", file=sys.stderr)
         return 2
     except ArithmeticError as ex:
         print(f"arithmetic out of range: {ex}", file=sys.stderr)

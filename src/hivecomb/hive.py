@@ -14,8 +14,7 @@ length of one honeycomb edge.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, product
 from typing import NamedTuple
 
@@ -25,7 +24,7 @@ from . import _kernels
 from .errors import DirectionViolation, RhombusViolation
 from .honeycomb import (Honeycomb, Partition, build_gl_tinkertoy, dual_graph,
                         triangle, validate_configuration)
-from .plane import coord, frac
+from .plane import coord
 from .weights import BoundaryTriple, as_weight, dominant_vectors, is_integral
 
 
@@ -168,17 +167,19 @@ def rhombi(shape):
 
 
 class Hive:
-    """An assignment of exact rationals to the size-n triangle."""
+    """An assignment of exact rationals to the size-n triangle, each held
+    as plane.coord stores it: an int where integral, else a Fraction."""
 
     def __init__(self, n, entries):
         self.n = n
-        entries = tuple(frac(x) for x in entries)
-        if len(entries) != (n + 1) * (n + 2) // 2:
-            raise ValueError(f"a size-{n} hive has {(n+1)*(n+2)//2} entries, "
+        entries = tuple(coord(x) for x in entries)
+        size = HiveShape(n).size  # ValueError below size 1
+        if len(entries) != size:
+            raise ValueError(f"a size-{n} hive has {size} entries, "
                              f"got {len(entries)}")
         self.entries = entries
 
-    def value(self, i, j) -> Fraction:
+    def value(self, i, j):
         if i < 0 or j < 0 or i + j > self.n:
             raise KeyError((i, j))
         return self.entries[_flat(i, j)]
@@ -194,14 +195,9 @@ class Hive:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.entries)
 
-    @cached_property
-    def _coords(self) -> tuple:
-        """The entries through plane.coord: ints where integral."""
-        return tuple(coord(x) for x in self.entries)
-
     def first_violation(self):
         """The first rhombus (in scan order) with negative value, or None."""
-        e = self._coords
+        e = self.entries
         plan = _plan(self.n)
         for r, (o1, o2, a1, a2) in zip(plan.rhombi, plan.quads.tolist()):
             if e[o1] + e[o2] - e[a1] - e[a2] < 0:
@@ -221,7 +217,7 @@ class Hive:
 
     def replaced(self, ij, v) -> "Hive":
         ent = list(self.entries)
-        ent[_flat(*ij)] = frac(v)
+        ent[_flat(*ij)] = v
         return Hive(self.n, ent)
 
     def __eq__(self, other):
@@ -239,7 +235,7 @@ class Hive:
         return "Hive(" + " | ".join(rows) + ")"
 
 
-def rhombus_value(H: Hive, r: Rhombus) -> Fraction:
+def rhombus_value(H: Hive, r: Rhombus):
     return (H[r.obtuse[0]] + H[r.obtuse[1]]
             - H[r.acute[0]] - H[r.acute[1]])
 
@@ -247,7 +243,7 @@ def rhombus_value(H: Hive, r: Rhombus) -> Fraction:
 def boundary_from_weights(t: BoundaryTriple) -> dict:
     """Boundary entries as partial sums along the clockwise walk."""
     steps = t.lam + t.mu + t.nu[:-1]
-    return {(0, 0): Fraction(0), **dict(zip(_walk(t.n), accumulate(steps)))}
+    return {(0, 0): 0, **dict(zip(_walk(t.n), accumulate(steps)))}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +307,7 @@ def hive_to_honeycomb(H: Hive) -> Honeycomb:
     if bad is not None:
         raise RhombusViolation(bad, rhombus_value(H, bad))
     t, rows, _ = _vertex_table(H.n)
-    e = H._coords
+    e = H.entries
     pos = {v: (e[x0] - e[x1], e[y0] - e[y1], e[z0] - e[z1])
            for v, ((x0, x1), (y0, y1), (z0, z1)) in rows}
     return validate_configuration(t, pos)

@@ -65,11 +65,10 @@ class WeightFunction:
     wperim_objective caches its result per instance.
     """
 
-    def __init__(self, n, values, seed=None, attempt=0):
+    def __init__(self, n, values, seed=None):
         self.n = n
         self.values = {tuple(p): frac(v) for p, v in dict(values).items()}
         self.seed = seed
-        self.attempt = attempt
         interior = set(HiveShape(n).interior())
         if set(self.values) != interior:
             raise ValueError("weights must cover exactly the interior entries")
@@ -85,7 +84,7 @@ class WeightFunction:
 
     def __repr__(self):
         return (f"WeightFunction(n={self.n}, {len(self.values)} hexagons, "
-                f"seed={self.seed!r}, attempt={self.attempt})")
+                f"seed={self.seed!r})")
 
 
 @lru_cache(maxsize=256)
@@ -98,8 +97,8 @@ def make_weight_function(n, seed=0) -> WeightFunction:
     |c|^2 >= 6, and neighboring centers differ by a step of square length 6.
     With all six neighbors hexagons the base leaves superharmonic slack
     6 * 6 = 36; with k <= 5 of them, (6 - k) M - 6 |c|^2 + (their |c|^2)
-    >= 1 + 6k.  The perturbation costs less than k <= 6, so the one draw,
-    attempt 0, always verifies.
+    >= 1 + 6k.  The perturbation costs less than k <= 6, so the one draw
+    always verifies.
 
     Built and verified once per (n, seed): later calls return the same
     object, so it is immutable by contract.
@@ -110,7 +109,7 @@ def make_weight_function(n, seed=0) -> WeightFunction:
     rng = random.Random(f"{seed}:{n}:0")
     values = {p: M - sq[p] + Fraction(rng.randrange(1, 1 << 10), 1 << 10)
               for p in interior}
-    return WeightFunction(n, values, seed=seed, attempt=0)
+    return WeightFunction(n, values, seed=seed)
 
 
 class ObjectiveVector:
@@ -806,16 +805,17 @@ def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,
     tight rows.  Hits are re-verified before being returned as a
     (boundary, hive) pair; None certifies no such vertex exists in range.
     Below n = 4 there is at most one interior entry, each row's coefficient
-    is 0 or +-1, and every vertex is integral, so nothing is scanned.
-    ValueError for n < 1, a negative entry_bound or a limit below 1: no
-    range is scanned there, so no answer certifies anything.
+    is 0 or +-1, and every vertex is integral, so no polytope is scanned;
+    given boundaries are still checked.  ValueError for n < 1, a negative
+    entry_bound, a limit below 1 or a boundary of another size: no range is
+    scanned there, so no answer certifies anything.
     """
     if n < 1 or entry_bound < 0 or (limit is not None and limit < 1):
         raise ValueError(f"need n >= 1, entry_bound >= 0 and limit >= 1; got "
                          f"n={n}, entry_bound={entry_bound}, limit={limit}")
-    if n <= 3:
-        return None
     if boundaries is None:
+        if n <= 3:
+            return None
         boundaries = boundary_grid(n, entry_bound, entry_bound)
         if seed is not None:
             boundaries = list(boundaries)
@@ -823,14 +823,16 @@ def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,
     for count, t in enumerate(boundaries):
         if limit is not None and count >= limit:
             break
+        if t.n != n:
+            raise ValueError(f"a boundary of size {t.n} in a size-{n} hunt")
         if not t.integral:
             raise ValueError("the vertex hunt needs an integral boundary")
+        if n <= 3:
+            continue
         inter, bvals, rows = _lp_rows(t)
-        rows = [(coef, int(const)) for coef, const in rows]
         # a hive is the restriction of a concave function on the triangle,
         # so no entry is below the smallest boundary entry
-        hits = [v for v in _vertices(rows, int(min(bvals.values())))
-                if v[1] > 1]
+        hits = [v for v in _vertices(rows, min(bvals.values())) if v[1] > 1]
         if not hits:
             continue
         coefs = [coef for coef, _ in rows]

@@ -12,12 +12,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Diagram, canonical_diagram, degeneracy_graph, diagram
+from .diagram import Diagram, canonical_diagram, diagram
 from .errors import (DirectionViolation, EpsilonTooLarge, NotADiagram,
                      NotDominant, NotSimplyDegenerate, ParallelLinesOnly,
                      TypeDoesNotClose)
-from .honeycomb import (Honeycomb, Partition, _add, _cross2, _sub,
-                        build_tinkertoy_from_type, dual_sides,
+from .honeycomb import (Honeycomb, Partition, _add, _sub,
+                        build_tinkertoy_from_type, dual_sides, triangle,
                         validate_configuration)
 from .plane import (DIRECTION_ORDER, INF, Direction, PlanePoint,
                     SegmentOrRay, coord, frac)
@@ -274,17 +274,34 @@ def elide(m: Diagram) -> PostElisionGraph:
     return PostElisionGraph(nodes, edges, half_edges, free_lines)
 
 
+def _winding(loop, p) -> int:
+    """Counterclockwise winding number of a closed polygon around p, in the
+    (x, y) chart; p must not lie on the polygon."""
+    px, py = p
+    w = 0
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        left = (b[0] - a[0]) * (py - a[1]) - (px - a[0]) * (b[1] - a[1])
+        if a[1] <= py < b[1] and left > 0:
+            w += 1
+        elif b[1] <= py < a[1] and left < 0:
+            w -= 1
+    return w
+
+
 def breathe_loop(h: Honeycomb, loop, epsilon) -> Honeycomb:
     """Slide the edges of a loop, preserving boundary and all directions.
 
-    loop: trivalent diagram-vertex locations in cyclic order.  Each loop
-    vertex moves along its third edge; positive epsilon moves each vertex
-    of a clockwise-traversed loop outward.  Raises EpsilonTooLarge with the
-    largest legal step when some edge would go negative.
+    loop: trivalent diagram-vertex locations in cyclic order, each joined to
+    the next by an edge of the post-elision graph.  A vertex coordinate is
+    the face one below it minus the face one above it on that axis (as in
+    hive._vertex_table), so the move is a change of face heights: each
+    bounded face rises by epsilon times the loop's clockwise winding number
+    around it.  Positive epsilon thus grows a clockwise loop, and the lobes
+    of a self-crossing loop move oppositely.  Raises EpsilonTooLarge with
+    the largest legal step when some edge would go negative.
     """
     eps = frac(epsilon)
-    m = diagram(h)
-    graph = elide(m)
+    graph = elide(diagram(h))
 
     loop_pts = [p if isinstance(p, PlanePoint) else PlanePoint(*p)
                 for p in loop]
@@ -295,80 +312,39 @@ def breathe_loop(h: Honeycomb, loop, epsilon) -> Honeycomb:
         idxs = [node_at[p] for p in loop_pts]
     except KeyError as ex:
         raise ValueError(f"{ex.args[0]} is not a trivalent vertex") from ex
+    joined = {frozenset((e.a, e.b)) for e in graph.edges}
+    for k in range(len(idxs)):
+        if frozenset((idxs[k - 1], idxs[k])) not in joined:
+            raise ValueError(f"loop vertices {loop_pts[k - 1]} and "
+                             f"{loop_pts[k]} are not joined")
 
-    step_dir = {}
-    for e in graph.edges:
-        step_dir[(e.a, e.b)] = e.direction
-        step_dir[(e.b, e.a)] = e.direction.opposite()
-    k = len(idxs)
-    dirs = []
-    for t in range(k):
-        pair = (idxs[t], idxs[(t + 1) % k])
-        if pair not in step_dir:
-            raise ValueError(f"loop vertices {loop_pts[t]} and "
-                             f"{loop_pts[(t + 1) % k]} are not joined")
-        dirs.append(step_dir[pair])
+    # each bounded face (six corners) weighted by the clockwise winding
+    # around its corners' centroid; the centroid is inside the face, as no
+    # face of a simply degenerate honeycomb collapses to a segment or point
+    t = h.tinkertoy
+    corners = {}
+    for v in t.vertices:
+        for f in triangle(v):
+            corners.setdefault(f, []).append(h.position(v))
+    rise = {f: -_winding(loop_pts, (Fraction(sum(p.x for p in ps), 6),
+                                    Fraction(sum(p.y for p in ps), 6)))
+            for f, ps in corners.items() if len(ps) == 6}
+    # unit-rate displacement: +rise on the axis where a face is one below
+    # the vertex, -rise where it is one above
+    moves = {v: [sum(rise.get(f, 0) * (v[a] - f[a]) for f in triangle(v))
+                 for a in range(3)] for v in t.vertices}
 
-    # unit-rate displacement of each loop vertex: along its third edge,
-    # outward exactly when the turn is clockwise in the (x,y)-chart
-    disp = {}
-    for t in range(k):
-        a, b = dirs[t - 1], dirs[t]
-        sign = 1 if _cross2(a.step, b.step) < 0 else -1
-        f = _sub(a.step, b.step)
-        disp[idxs[t]] = tuple(Fraction(sign * c) for c in f)
-
-    # moving chain lines, then crossings carried along by them
-    dgn_regions = {r.location: r.members for r in degeneracy_graph(h).regions}
-    moves = {}  # tinkertoy vertex -> unit-rate displacement
-    for t in range(k):
-        u = idxs[t]
-        members = dgn_regions[graph.nodes[u].location]
-        assert len(members) == 1
-        moves[next(iter(members))] = disp[u]
-
-    cross_shift = {}  # crossing location -> {axis: shift rate}
-    for t in range(k):
-        u, w = idxs[t], idxs[(t + 1) % k]
-        c = dirs[t]
-        axis = c.constant_axis
-        rate_u, rate_w = disp[u], disp[w]
-        assert rate_w[axis] - rate_u[axis] == 0
-        pu, pw = graph.nodes[u].location, graph.nodes[w].location
-        lo, hi = sorted((pu[c.param_axis], pw[c.param_axis]))
-        for x in m.vertices:
-            if x.kind != "crossing" or x.location[axis] != pu[axis]:
-                continue
-            tpar = x.location[c.param_axis]
-            if lo < tpar < hi:
-                cross_shift.setdefault(x.location, {})[axis] = rate_u[axis]
-    for loc, shifts in cross_shift.items():
-        vec = [Fraction(0)] * 3
-        for axis, s in shifts.items():
-            vec[axis] = s
-        free = [i for i in range(3) if i not in shifts]
-        assert len(free) >= 1
-        vec[free[0]] = -sum(vec)
-        for w in dgn_regions[loc]:
-            moves[w] = tuple(vec)
-
-    # exact largest legal step from the finite edge lengths
-    zero = (Fraction(0),) * 3
-    rates = {}
-    for e in h.tinkertoy.finite_edges:
-        dv = _sub(moves.get(e.head, zero), moves.get(e.tail, zero))
-        rate = e.direction.multiple(dv)
-        assert rate is not None
-        if rate != 0:
-            rates[e] = rate
-    # the edges that shrink at this sign of eps; the nearest zero binds
-    bounds = [Fraction(-h.edge_length(e), r) for e, r in rates.items()
-              if r * eps < 0]
+    # exact largest legal step: of the edges that shrink at this sign of
+    # eps, the nearest zero binds
+    bounds = []
+    for e in t.finite_edges:
+        rate = e.direction.multiple(_sub(moves[e.head], moves[e.tail]))
+        if rate * eps < 0:
+            bounds.append(Fraction(-h.edge_length(e), rate))
     limit = min(bounds, key=abs, default=None)
     if limit is not None and abs(eps) > abs(limit):
         raise EpsilonTooLarge(limit)
 
-    pos = {v: h.position(v).translate(tuple(eps * c for c in moves[v]))
-           if v in moves else h.position(v)
-           for v in h.tinkertoy.vertices}
-    return validate_configuration(h.tinkertoy, pos)
+    pos = {v: h.position(v).translate([eps * c for c in moves[v]])
+           for v in t.vertices}
+    return validate_configuration(t, pos)

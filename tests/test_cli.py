@@ -17,6 +17,7 @@ from hivecomb.honeycomb import build_gl_tinkertoy, standard_configuration
 from hivecomb.weights import BoundaryTriple
 
 ADJ = BoundaryTriple((2, 1, 0), (2, 1, 0), (-1, -2, -3))
+WIDE = ",".join(["0"] * 1100)  # deeper than Python's recursion limit
 
 
 def run(*argv):
@@ -29,6 +30,10 @@ def run(*argv):
 def one_line_exit_2(result):
     code, out, err = result
     return (code, out) == (2, "") and err.count("\n") == 1
+
+
+def deep_recursion_exit_2(result):
+    return one_line_exit_2(result) and "input too large" in result[2]
 
 
 def std(n):
@@ -88,6 +93,11 @@ class TestLrCount:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "out of range" in err
 
+    def test_deep_oracle_recursion_exits_2(self):
+        assert deep_recursion_exit_2(run(
+            "lr-count", "-n", "2", "--lambda", "1500,0", "--mu", "1500,0",
+            "--nu=-1500,-1500", "--verify"))
+
     def test_oracle_mismatch_exits_3(self, monkeypatch):
         monkeypatch.setattr(cli, "transcribed_lr_count", lambda t: 99)
         code, _, err = run("lr-count", "-n", "3", "--lambda", "2,1,0",
@@ -125,6 +135,10 @@ class TestDecompose:
         assert one_line_exit_2(result)
         assert "arithmetic out of range" in result[2]
 
+    def test_deep_recursion_exits_2(self):
+        assert deep_recursion_exit_2(run("decompose", "--lambda", WIDE,
+                                         "--mu", WIDE))
+
 
 class TestGtCount:
     def test_adjoint(self):
@@ -132,6 +146,9 @@ class TestGtCount:
 
     def test_gl2(self):
         assert run("gt-count", "--lambda", "1,0") == (0, "2\n", "")
+
+    def test_deep_recursion_exits_2(self):
+        assert deep_recursion_exit_2(run("gt-count", "--lambda", WIDE))
 
 
 class TestLift:

@@ -118,10 +118,19 @@ class TestShape:
 
 class TestHiveBasics:
     def test_fraction_coercion(self):
-        h = Hive(1, ["1/2", 1, 0])
+        # entries are held as plane.coord holds them: ints where integral
+        h = Hive(1, ["1/2", Fraction(4, 2), "0/3"])
         assert h.value(0, 0) == Fraction(1, 2)
-        assert h.value(1, 0) == 1
-        assert all(isinstance(x, Fraction) for x in h.entries)
+        assert h.value(1, 0) == 2
+        assert [type(x) for x in h.entries] == [Fraction, int, int]
+        assert h == Hive(1, [Fraction(1, 2), 2, 0])
+        r = h.replaced((0, 1), Fraction(6, 3))
+        assert r[(0, 1)] == 2 and type(r[(0, 1)]) is int
+
+    @pytest.mark.parametrize("n, entries", [(-1, []), (0, [5]), (0, [])])
+    def test_size_below_one_refused(self, n, entries):
+        with pytest.raises(ValueError, match="at least 1"):
+            Hive(n, entries)
 
     def test_length_check(self):
         with pytest.raises(ValueError):

@@ -109,8 +109,7 @@ class TestWeightFunction:
             w = make_weight_function(n, seed)
             assert make_weight_function(n, seed) is w
             fresh = make_weight_function.__wrapped__(n, seed)
-            assert (w.values, w.seed, w.attempt) == \
-                (fresh.values, fresh.seed, fresh.attempt)
+            assert (w.values, w.seed) == (fresh.values, fresh.seed)
             ov = wperim_objective(w)
             assert wperim_objective(w) is ov
             assert ov.coeffs == wperim_objective.__wrapped__(fresh).coeffs
@@ -701,6 +700,14 @@ class TestNonintegralVertex:
         # so every polytope vertex over any boundary is integral there.
         assert find_nonintegral_vertex(2, 6) is None
         assert find_nonintegral_vertex(3, 6) is None
+
+    def test_boundary_of_another_size_refused(self):
+        # the n <= 3 shortcut scans no polytope but still reads boundaries,
+        # so a None there certifies the boundaries it was given
+        for n in (3, 4, 6):
+            with pytest.raises(ValueError, match="size"):
+                find_nonintegral_vertex(n, 2, boundaries=[WITNESS])
+        assert find_nonintegral_vertex(3, 2, boundaries=[ADJ]) is None
 
     def test_n4_small_window_is_integral(self):
         assert find_nonintegral_vertex(4, 1) is None

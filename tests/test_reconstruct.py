@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivecomb import (DIRECTIONS, INF, BoundaryTriple, EpsilonTooLarge,
-                      NotDominant, NotSimplyDegenerate, PlanePoint,
-                      SegmentOrRay, build_gl_tinkertoy, canonical_diagram,
-                      diagram, elide, enumerate_lattice_hives,
-                      hive_indices, hive_to_honeycomb, honeycomb_to_hive,
-                      inflate, overlay, prv_witness, reconstruct,
+from hivecomb import (DIRECTIONS, INF, BoundaryTriple, EpsilonTooLarge, Hive,
+                      InflationVector, NotDominant, NotSimplyDegenerate,
+                      PlanePoint, SegmentOrRay, build_gl_tinkertoy,
+                      canonical_diagram, diagram, elide,
+                      enumerate_lattice_hives, hive_indices,
+                      hive_to_honeycomb, honeycomb_to_hive, inflate,
+                      max_inflation, overlay, prv_witness, reconstruct,
                       standard_configuration)
 from hivecomb.errors import NotADiagram
 from hivecomb.reconstruct import breathe_loop
@@ -172,6 +173,46 @@ class TestBreatheLoop:
             breathe_loop(h, skip_one, F(1, 2))
         with pytest.raises(ValueError):
             breathe_loop(h, [(9, -9, 0)] + HEX_RING[1:], F(1, 2))
+
+    def test_loop_through_crossings(self):
+        # a loop around the two neighbouring hexagons (1,1) and (2,1) whose
+        # sides pass straight through crossings of the diagram
+        H = Hive(4, [0, 4, 6, 7, F(28, 3), 11, 9, F(37, 3), 14, 15, 9, 13,
+                     16, 17, 17])
+        h = hive_to_honeycomb(H)
+        loop = [(F(2, 3), 3, F(-11, 3)), (2, F(5, 3), F(-11, 3)),
+                (F(10, 3), F(5, 3), -5), (F(10, 3), 2, F(-16, 3)),
+                (2, F(10, 3), F(-16, 3)), (F(2, 3), F(10, 3), -4)]
+        pair = [(1, 1), (2, 1)]
+        for eps in (F(1, 7), F(-1, 7)):
+            assert breathe_loop(h, loop, eps) == \
+                hive_to_honeycomb(inflate(H, pair, -eps))
+        grown = honeycomb_to_hive(breathe_loop(h, loop[::-1], F(1, 7)))
+        assert {p: grown[p] - H[p] for p in hive_indices(4)
+                if grown[p] != H[p]} == {(1, 1): F(1, 7), (2, 1): F(1, 7)}
+        down = InflationVector(4, (((1, 1), F(-1)), ((2, 1), F(-1))))
+        for eps, bound in ((10, max_inflation(H, down)),
+                           (-10, -max_inflation(H, pair))):
+            with pytest.raises(EpsilonTooLarge) as ex:
+                breathe_loop(h, loop, eps)
+            assert ex.value.bound == bound
+        assert (max_inflation(H, down), max_inflation(H, pair)) == \
+            (F(1, 3), F(2, 3))
+
+    def test_figure_eight_lobes_move_oppositely(self):
+        H = Hive(4, [0, 6, 10, 10, F(47, 3), 19, 13, 19, F(67, 3), 24, 14,
+                     20, 24, 26, 26])
+        h = hive_to_honeycomb(H)
+        loop = [(F(5, 3), 2, F(-11, 3)), (2, F(5, 3), F(-11, 3)),
+                (F(10, 3), F(5, 3), -5), (F(10, 3), F(17, 3), -9),
+                (4, F(17, 3), F(-29, 3)), (F(17, 3), 4, F(-29, 3)),
+                (F(17, 3), F(10, 3), -9), (F(5, 3), F(10, 3), -5)]
+        moved = honeycomb_to_hive(breathe_loop(h, loop, F(1, 10)))
+        assert {p: moved[p] - H[p] for p in hive_indices(4)
+                if moved[p] != H[p]} == {(1, 1): F(1, 10), (1, 2): F(-1, 10)}
+        with pytest.raises(EpsilonTooLarge) as ex:
+            breathe_loop(h, loop, 5)
+        assert ex.value.bound == F(1, 3)
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3))
