@@ -124,10 +124,19 @@ def _csr(bounds):
     return ptr, abc
 
 
+#: The largest hive size whose plan is built.  Its dense LP rows hold
+#: (3n(n-1)/2) x ((n-1)(n-2)/2) int64s: 95 MB at n = 64.
+PLAN_MAX_N = 64
+
+
 @cache
 def _plan(n) -> _Plan:
     """Each rhombus as a kernel bound on its last interior entry in scan
-    order (a fixed check when it has none) and as an LP row."""
+    order (a fixed check when it has none) and as an LP row.  ValueError
+    past PLAN_MAX_N, before anything is built."""
+    if n > PLAN_MAX_N:
+        raise ValueError(f"input too large: hive size {n} is past the "
+                         f"largest planned size, {PLAN_MAX_N}")
     order = hive_indices(n)
     inside = set(order)
     found = [r for r in (_rhombus_at(p, s) for p in order for s in _APEX)
@@ -457,13 +466,13 @@ def decompose_tensor_product(lam, mu) -> dict:
         raise ValueError("decomposition needs integral weights")
     n = len(lam)
     size = HiveShape(n).size  # ValueError at n = 0, as count_lattice_hives
+    plan = _plan(n)
     shift = lam[-1] + mu[-1]
     steps = [x - lam[-1] for x in lam] + [x - mu[-1] for x in mu]
     top = sum(steps)
     _check_bound(top + max(n - 2, 0) * steps[0])
     shifted = np.array(dominant_vectors(n, 0, steps[0] + steps[n], top),
                        dtype=np.int64)
-    plan = _plan(n)
     walk_steps = np.empty((shifted.shape[0], 3 * n - 1), dtype=np.int64)
     walk_steps[:, :2 * n] = steps
     walk_steps[:, 2 * n:] = -shifted[:, :0:-1]
@@ -505,17 +514,17 @@ def count_gt_patterns(lam) -> int:
     w = as_weight(lam)
     if not is_integral(w):
         raise ValueError("pattern counting needs an integral weight")
-    return _gt_below(tuple(int(x) for x in w), {})
-
-
-def _gt_below(row, memo):
-    """Patterns interleaving down from row, memoized per call in memo."""
-    if len(row) <= 1:
-        return 1
-    if row not in memo:
-        ranges = [range(row[i + 1], row[i] + 1) for i in range(len(row) - 1)]
-        memo[row] = sum(_gt_below(nxt, memo) for nxt in product(*ranges))
-    return memo[row]
+    level = {w: 1}
+    # each row of a pattern interleaves the one above it: count the
+    # patterns ending in each row, one row length at a time
+    for _ in range(len(w) - 1):
+        below = {}
+        for row, count in level.items():
+            for nxt in product(*(range(row[i + 1], row[i] + 1)
+                                 for i in range(len(row) - 1))):
+                below[nxt] = below.get(nxt, 0) + count
+        level = below
+    return sum(level.values())
 
 
 def bz_rows(n):

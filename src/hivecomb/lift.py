@@ -736,8 +736,10 @@ def _vertices(rows, low):
     1996) of the cone {(x, s) : coef.x + const*s >= 0, s >= 0}: it starts
     from the simplicial cone s >= 0, x_i >= low*s (which holds it), whose
     rays are (low, ..., low, 1) and the unit vectors (e_i, 0), and inserts
-    the rows one at a time.  Rays on a row's side stay; each pair across it
-    that the combinatorial test calls adjacent (no third ray is tight on
+    the rows one at a time, each evaluated on a ray through its nonzero
+    terms only (a rhombus row has at most four interior coefficients, all
+    +-1, beside its constant).  Rays on a row's side stay; each pair across
+    it that the combinatorial test calls adjacent (no third ray is tight on
     every inequality both are tight on) is joined into a ray on it.  Zero
     sets are int bitmasks: bit 0 for s >= 0, bit i + 1 for x_i >= low*s
     and bit k + 1 + r for rows[r].  Rays stay primitive, so a ray (x, s)
@@ -750,10 +752,13 @@ def _vertices(rows, low):
     rays += [(tuple(int(i == j) for j in range(k + 1)), start - (2 << i))
              for i in range(k)]
     for r, (coef, const) in enumerate(rows):
-        a, bit = (*coef, const), 1 << k + 1 + r
+        terms = [(i, c) for i, c in enumerate((*coef, const)) if c]
+        bit = 1 << k + 1 + r
         pos, neg, kept = [], [], []
         for ray, z in rays:
-            v = sum(p * q for p, q in zip(a, ray))
+            v = 0
+            for i, c in terms:
+                v += c * ray[i]
             if v < 0:
                 neg.append((v, ray, z))
                 continue

@@ -58,7 +58,10 @@ class BoundaryTriple:
 
     @property
     def integral(self) -> bool:
-        return all(is_integral(w) for w in (self.lam, self.mu, self.nu))
+        """Every entry an integer.  Exact by type: as_weight stores an
+        entry as a Fraction only where it is not integral, else as an
+        int."""
+        return all(type(x) is int for x in self.lam + self.mu + self.nu)
 
     @property
     def regular(self) -> bool:
@@ -94,35 +97,48 @@ def nu_to_sigma(nu) -> tuple:
     return sigma_to_nu(nu)
 
 
-def _dominant_tails(out, prefix, remaining, lo, hi, total):
-    """Append each completion of prefix to out; see dominant_vectors."""
-    if remaining == 0:
-        if total is None or sum(prefix) == total:
-            out.append(tuple(prefix))
-        return
-    for v in range(hi, lo - 1, -1):
-        # prune when the sum can no longer reach the target
-        if total is not None:
-            partial = sum(prefix) + v
-            rest = remaining - 1
-            if partial + rest * lo > total or partial + rest * v < total:
-                continue
-        prefix.append(v)
-        _dominant_tails(out, prefix, remaining - 1, lo, v, total)
-        prefix.pop()
-
-
 def dominant_vectors(n: int, lo: int, hi: int, total=None):
     """All weakly decreasing integer n-vectors with entries in [lo, hi].
 
-    With total given, only those summing to it.  Yields tuples of ints.
-    ValueError for a negative n.
+    With total given, only those summing to it.  A list of tuples of ints
+    in decreasing lexicographic order.  ValueError for a negative n.
+
+    Listed without recursion: each position takes, from the top down,
+    every value of its valid range, which follows from the entry before
+    it and the running sum.  With total given, a value v at position i is
+    valid when the n - 1 - i entries after it, each in [lo, v], can make
+    up the rest of the sum.
     """
     if n < 0:
         raise ValueError(f"a weight has at least 0 parts, not {n}")
-    out = []
-    _dominant_tails(out, [], n, lo, hi, total)
-    return out
+    out, vec, floor = [], [0] * n, [0] * n
+    i, partial = 0, 0  # vec[:i] is fixed and sums to partial
+    while True:
+        if i < n:
+            top = vec[i - 1] if i else hi
+            floor[i] = lo
+            if total is not None:
+                rest = n - 1 - i
+                top = min(top, total - partial - rest * lo)
+                floor[i] = max(lo, -((partial - total) // (rest + 1)))
+            if top >= floor[i]:
+                vec[i] = top
+                partial += top
+                i += 1
+                continue
+        elif total is None or partial == total:
+            out.append(tuple(vec))
+        # step back to the last entry that can still go down by one
+        while True:
+            i -= 1
+            if i < 0:
+                return out
+            if vec[i] > floor[i]:
+                vec[i] -= 1
+                partial -= 1
+                i += 1
+                break
+            partial -= vec[i]
 
 
 def boundary_grid(n: int, bound: int, nu_bound: int):

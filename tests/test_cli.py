@@ -147,8 +147,8 @@ class TestGtCount:
     def test_gl2(self):
         assert run("gt-count", "--lambda", "1,0") == (0, "2\n", "")
 
-    def test_deep_recursion_exits_2(self):
-        assert deep_recursion_exit_2(run("gt-count", "--lambda", WIDE))
+    def test_wide_zero_weight_counts_one(self):
+        assert run("gt-count", "--lambda", WIDE) == (0, "1\n", "")
 
 
 class TestLift:

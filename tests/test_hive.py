@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import itertools
 import os
 import random
 import subprocess
@@ -353,6 +354,15 @@ class TestDecompose:
         with pytest.raises(OverflowError, match="limit 2\\^60"):
             decompose_tensor_product(lam, mu)
 
+    def test_past_plan_limit_refused_before_listing(self):
+        """A weight wider than PLAN_MAX_N is refused at once, before its
+        sigma are listed or a plan is built."""
+        wide = [0] * (hivecomb.hive.PLAN_MAX_N + 1)
+        with pytest.raises(ValueError, match="input too large"):
+            decompose_tensor_product(wide, wide)
+        with pytest.raises(ValueError, match="input too large"):
+            count_lattice_hives(BoundaryTriple(wide, wide, wide))
+
     def test_keys_are_int_tuples(self):
         got = decompose_tensor_product((Fraction(4, 2), 1, 0), ("2", 1, 0))
         assert got == decompose_tensor_product((2, 1, 0), (2, 1, 0))
@@ -370,6 +380,28 @@ class TestGT:
     def test_nonintegral_rejected(self):
         with pytest.raises(ValueError):
             count_gt_patterns(("1/2", 0))
+
+    def test_matches_recursive_count(self):
+        """The row-by-row count equals a memoized recursion over the rows
+        interleaving down from each row, on seeded weights with n <= 6."""
+        def below(row, memo):
+            if len(row) <= 1:
+                return 1
+            if row not in memo:
+                memo[row] = sum(below(nxt, memo) for nxt in itertools.product(
+                    *(range(row[i + 1], row[i] + 1)
+                      for i in range(len(row) - 1))))
+            return memo[row]
+
+        rng = random.Random(22)
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            lam = sorted((rng.randint(-4, 4) for _ in range(n)), reverse=True)
+            assert count_gt_patterns(lam) == below(tuple(lam), {}), lam
+
+    def test_wide_weight(self):
+        assert count_gt_patterns([0] * 1100) == 1
+        assert count_gt_patterns([1] + [0] * 1099) == 1100
 
 
 @pytest.mark.parametrize("call", [

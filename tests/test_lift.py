@@ -29,6 +29,7 @@ from hivecomb.cli import lift_report_to_json
 from hivecomb.lift import _lp_rows, _vertices, basis_table
 from hivecomb.weights import boundary_grid
 from hivecomb.simplex import maximize
+from vertex_reference import dense_vertices
 
 F = Fraction
 
@@ -828,6 +829,41 @@ def test_vertices_match_oracle():
     for t in n5:
         assert polytope_vertices(t) == enumerate_polytope_vertices(
             t, allow_large=True), t
+
+
+def test_scan_matches_dense_reference():
+    """The sparse-term scan gives the dense reference's (x, s, tight) list
+    on seeded n=4 and n=5 bound-2 grid boundaries, empty polytopes
+    included, and with all-zero rows spliced in."""
+    rng = random.Random(22)
+    empty, zero_const = 0, 0
+    for n in (4, 5):
+        doms = dominant_vectors(n, -2, 2)
+        nus = {}
+        for _ in range(600):
+            choices = ()
+            while not choices:
+                lam, mu = rng.choice(doms), rng.choice(doms)
+                total = -(sum(lam) + sum(mu))
+                if total not in nus:
+                    nus[total] = dominant_vectors(n, -2, 2, total)
+                choices = nus[total]
+            t = BoundaryTriple(lam, mu, rng.choice(choices))
+            _, bvals, rows = _lp_rows(t)
+            low = min(bvals.values())
+            got = _vertices(rows, low)
+            assert got == dense_vertices(rows, low), t
+            empty += not got
+            zero_const += sum(any(c) and not b for c, b in rows)
+    assert empty > 600 and zero_const > 1000
+    _, bvals, rows = _lp_rows(WITNESS)
+    low, zero = min(bvals.values()), (0,) * len(rows[0][0])
+    for extra in ((zero, 0), (zero, 3), (zero, -1)):
+        for at in (0, 7, len(rows)):
+            spliced = rows[:at] + [extra] + rows[at:]
+            got = _vertices(spliced, low)
+            assert got == dense_vertices(spliced, low)
+            assert (got == []) == (extra[1] < 0)
 
 
 @given(st.integers(0, 2 ** 32))

@@ -1,10 +1,11 @@
 """Dominant weights and boundary triples: ints where integral."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from hivecomb import BoundaryTriple, as_weight, sigma_to_nu
+from hivecomb import BoundaryTriple, as_weight, dominant_vectors, sigma_to_nu
 from hivecomb.errors import NotDominant
 
 ADJ = BoundaryTriple((2, 1, 0), (2, 1, 0), (-1, -2, -3))
@@ -57,3 +58,62 @@ def test_sigma_to_nu_gives_ints():
 def test_not_dominant_still_raised():
     with pytest.raises(NotDominant):
         as_weight((0, 1))
+
+
+def test_integral_reads_the_entry_types():
+    assert ADJ.integral and ADJ.scaled(Fraction(4, 2)).integral
+    assert BoundaryTriple((Fraction(4, 2), 0), (1, 1), (-2, -2)).integral
+    assert not ADJ.scaled(Fraction(1, 2)).integral
+    mixed = BoundaryTriple((Fraction(1, 2), 0), (2, 1), (-1, Fraction(-5, 2)))
+    assert types(mixed) == [Fraction, int, int, int, int, Fraction]
+    assert not mixed.integral
+
+
+def recursive_dominant_vectors(n, lo, hi, total=None):
+    """The listing as it was first written: recursion over the positions,
+    trying every value from hi down and pruning sums out of reach."""
+    out = []
+
+    def tails(prefix, remaining, hi):
+        if remaining == 0:
+            if total is None or sum(prefix) == total:
+                out.append(tuple(prefix))
+            return
+        for v in range(hi, lo - 1, -1):
+            if total is not None:
+                partial = sum(prefix) + v
+                rest = remaining - 1
+                if partial + rest * lo > total or partial + rest * v < total:
+                    continue
+            prefix.append(v)
+            tails(prefix, remaining - 1, v)
+            prefix.pop()
+
+    tails([], n, hi)
+    return out
+
+
+def test_dominant_vectors_match_recursive_listing():
+    """Same list in the same order on seeded draws: n = 0, no total,
+    empty ranges (hi < lo, or a total out of reach) and negative bounds."""
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(0, 5)
+        lo = rng.randint(-4, 3)
+        hi = rng.randint(lo - 2, lo + 5)
+        total = None if rng.random() < 0.3 else rng.randint(
+            n * min(lo, hi) - 3, n * max(lo, hi) + 3)
+        got = dominant_vectors(n, lo, hi, total)
+        assert got == recursive_dominant_vectors(n, lo, hi, total), (
+            n, lo, hi, total)
+        seen.add((n == 0, total is None, not got, lo < 0))
+    assert len(seen) >= 10
+
+
+def test_dominant_vectors_of_many_parts():
+    assert dominant_vectors(1100, 0, 0) == [(0,) * 1100]
+    assert dominant_vectors(1100, 0, 1, 1) == [(1,) + (0,) * 1099]
+    assert dominant_vectors(1100, 0, 1, 1101) == []
+    with pytest.raises(ValueError):
+        dominant_vectors(-1, 0, 1)
