@@ -65,10 +65,6 @@ def hive_to_json(h: Hive) -> dict:
     return {"n": h.n, "entries": [str(h[p]) for p in hive_indices(h.n)]}
 
 
-def hive_from_json(data) -> Hive:
-    return Hive(int(data["n"]), data["entries"])
-
-
 def honeycomb_to_json(h: Honeycomb) -> dict:
     verts = h.tinkertoy.sorted_vertices
     return {"type": list(h.tinkertoy.type),

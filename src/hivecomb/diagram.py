@@ -10,12 +10,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotADiagram, TensionViolation, UnknownPattern
 from .honeycomb import DualGraph, Honeycomb, Partition, Tinkertoy
 from .plane import (AXIS_POSITIVE, DIRECTION_ORDER, INF, Direction,
                     PlanePoint, SegmentOrRay, constant_coordinate, coord,
                     coords_with, param_interval, tension)
+
+#: The census index of each direction, by name.
+_DIR_INDEX = {d.name: i for i, d in enumerate(DIRECTION_ORDER)}
 
 #: Vertex kinds in increasing ray count.
 VERTEX_KINDS = ("Y", "inverted-Y", "crossing", "rake", "5-valent", "6-valent")
@@ -183,6 +187,26 @@ class Diagram:
         if all(c.denominator == 1 for c in census):
             return tuple(int(c) for c in census)
         return census
+
+    @cached_property
+    def leaving(self) -> dict:
+        """(vertex index, census index) -> (the piece leaving that vertex
+        that way, the vertex index at its far end or None for a ray).
+        Canonical pieces end at vertices, so each is filed at both ends."""
+        at = {v.location.coords(): k for k, v in enumerate(self.vertices)}
+        out = {}
+        for s in self.segments:
+            x, y, z = s.base.coords()
+            d = s.direction
+            a, di = at[x, y, z], _DIR_INDEX[d.name]
+            if s.is_ray:
+                out[a, di] = (s, None)
+                continue
+            dx, dy, dz = d.step
+            b = at[x + s.length * dx, y + s.length * dy, z + s.length * dz]
+            out[a, di] = (s, b)
+            out[b, (di + 3) % 6] = (s, a)
+        return out
 
     def vertex_at(self, p: PlanePoint):
         for v in self.vertices:

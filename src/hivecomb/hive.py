@@ -106,7 +106,6 @@ class _Plan(NamedTuple):
     scan: tuple  # (iidx, lo_ptr, lo_abc, up_ptr, up_abc) for _kernels.frontier
     fixed: tuple  # boundary-only rhombi: flat (obtuse, obtuse, acute, acute)
     quads: np.ndarray  # every rhombus: flat (obtuse, obtuse, acute, acute)
-    coefs: np.ndarray  # every rhombus: +1 obtuse, -1 acute, per interior entry
 
 
 def _walk(n):
@@ -124,16 +123,18 @@ def _csr(bounds):
     return ptr, abc
 
 
-#: The largest hive size whose plan is built.  Its dense LP rows hold
-#: (3n(n-1)/2) x ((n-1)(n-2)/2) int64s: 95 MB at n = 64.
+#: The largest hive size whose plan is built.  A plan holds about n^2
+#: Rhombus objects (3n(n-1)/2 rhombi) and their corner arrays; building
+#: one takes about 1 s and 130 MB at n = 256.
 PLAN_MAX_N = 64
 
 
 @cache
 def _plan(n) -> _Plan:
     """Each rhombus as a kernel bound on its last interior entry in scan
-    order (a fixed check when it has none) and as an LP row.  ValueError
-    past PLAN_MAX_N, before anything is built."""
+    order (a fixed check when it has none) and by its flat corners: about
+    n^2 objects (see PLAN_MAX_N).  The LP builds its rows from the corners
+    (lift._lp_maps).  ValueError past PLAN_MAX_N, before anything is built."""
     if n > PLAN_MAX_N:
         raise ValueError(f"input too large: hive size {n} is past the "
                          f"largest planned size, {PLAN_MAX_N}")
@@ -147,11 +148,8 @@ def _plan(n) -> _Plan:
     upper = [[] for _ in interior]
     fixed = []
     quads = [tuple(_flat(*c) for c in r.corners) for r in found]
-    coefs = np.zeros((len(found), len(interior)), dtype=np.int64)
     for k, r in enumerate(found):
         inter = [c for c in r.corners if c in ipos]
-        for c in inter:
-            coefs[k, ipos[c]] = 1 if c in r.obtuse else -1
         if not inter:
             fixed.append(quads[k])
             continue
@@ -167,7 +165,7 @@ def _plan(n) -> _Plan:
     iidx = np.array([_flat(*p) for p in interior], dtype=np.int64)
     return _Plan(tuple(found), tuple(_flat(*p) for p in _walk(n)),
                  (iidx, *_csr(lower), *_csr(upper)), tuple(fixed),
-                 np.array(quads, dtype=np.int64).reshape(-1, 4), coefs)
+                 np.array(quads, dtype=np.int64).reshape(-1, 4))
 
 
 def rhombi(shape):

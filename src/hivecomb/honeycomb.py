@@ -15,6 +15,7 @@ The shared lattice helpers live here: the 3-vector `_add` and `_sub` and the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Optional
@@ -147,7 +148,16 @@ class Tinkertoy:
                 raise ValueError(f"{v} is not a honeycomb lattice vertex")
         self.vertices = verts
         self.sorted_vertices = tuple(sorted(verts))
-        self._check_axioms()
+        self._check_connected()
+        # hexagon closure: 4+ vertices around a root point force all 6
+        around = Counter(r for v in verts for s in _UNIT_STEPS
+                         if is_root_point(r := _add(v, s)))
+        partial = [r for r, k in around.items() if 4 <= k < 6]
+        if partial:
+            raise ValueError(f"hexagon around {min(partial)} is only partly "
+                             "present")
+        #: Root points all six of whose surrounding vertices are present.
+        self.hexagons = tuple(sorted(r for r, k in around.items() if k == 6))
         self.edges = self._build_edges()
         self.boundary_edges = tuple(e for e in self.edges if e.is_boundary)
         self.finite_edges = tuple(e for e in self.edges if not e.is_boundary)
@@ -156,11 +166,10 @@ class Tinkertoy:
             census[DIRECTION_ORDER.index(e.ray_direction)] += 1
         self.type = tuple(census)
 
-    def _check_axioms(self):
+    def _check_connected(self):
         verts = self.vertices
         if not verts:
             raise ValueError("a tinkertoy contains at least one vertex")
-        # connectedness
         seen = set()
         stack = [self.sorted_vertices[0]]
         while stack:
@@ -174,14 +183,6 @@ class Tinkertoy:
             stack.extend(w for w in nbrs if w in verts and w not in seen)
         if seen != verts:
             raise ValueError("tinkertoy is not connected")
-        # hexagon closure: 4+ vertices around a root point force all 6
-        roots = {_add(v, s) for v in verts for s in _UNIT_STEPS}
-        for r in roots:
-            if not is_root_point(r):
-                continue
-            present = sum(_add(r, s) in verts for s in _UNIT_STEPS)
-            if 4 <= present < 6:
-                raise ValueError(f"hexagon around {r} is only partly present")
 
     def _build_edges(self):
         verts = self.vertices
@@ -197,14 +198,6 @@ class Tinkertoy:
                     if t not in verts:
                         edges.append(Edge(None, v, d))
         return tuple(edges)
-
-    @property
-    def hexagons(self):
-        """Root points all six of whose surrounding vertices are present."""
-        roots = {_add(v, s) for v in self.vertices for s in _UNIT_STEPS}
-        out = [r for r in roots if is_root_point(r)
-               and all(_add(r, s) in self.vertices for s in _UNIT_STEPS)]
-        return tuple(sorted(out))
 
     def translate(self, vec) -> "Tinkertoy":
         vec = tuple(vec)

@@ -317,14 +317,26 @@ def molt_regions(m, v) -> frozenset:
 # the LP over a hive polytope
 
 
+@lru_cache(maxsize=None)
+def _lp_maps(n):
+    """The size-n LP's rhombus rows, in scan order, as two int64 maps: A
+    over the interior entries (the variables) and Q over the boundary walk,
+    +1 at obtuse and -1 at acute corners.  Built once per n from the plan's
+    corner quads, for _lp_rows and the basis table."""
+    plan = _plan(n)
+    full = np.zeros((len(plan.quads), HiveShape(n).size), dtype=np.int8)
+    np.put_along_axis(full, plan.quads, np.int8([1, 1, -1, -1]), axis=1)
+    return (full[:, plan.scan[0]].astype(np.int64),
+            full[:, list(plan.walk)].astype(np.int64))
+
+
 def _lp_rows(t: BoundaryTriple):
     """Interior entries (the LP variables), the boundary and the rhombus
     rows of t as (coefficients, constant)."""
-    plan = _plan(t.n)
     bvals = boundary_from_weights(t)
     b = [bvals.get(p, 0) for p in hive_indices(t.n)]
     rows = [(coef, b[o1] + b[o2] - b[a1] - b[a2]) for coef, (o1, o2, a1, a2)
-            in zip(plan.coefs.tolist(), plan.quads.tolist())]
+            in zip(_lp_maps(t.n)[0].tolist(), _plan(t.n).quads.tolist())]
     return HiveShape(t.n).interior(), bvals, rows
 
 
@@ -367,9 +379,9 @@ class _Bases:
     """The proved optimal bases of one objective, stacked for lookup.
 
     A boundary enters as w, its entries along the walk; the row constants
-    are Q @ w.  A basis B with d = |det A_B| and adj = d * A_B^-1 has
-    vertex x with d * x = X @ w, X = -adj @ Q_B, and d times the slacks of
-    every row S @ w, S = A @ X + d * Q: two int64 maps per basis.
+    are Q @ w (_lp_maps).  A basis B with d = |det A_B| and adj = d * A_B^-1
+    has vertex x with d * x = X @ w, X = -adj @ Q_B, and d times the slacks
+    of every row S @ w, S = A @ X + d * Q: two int64 maps per basis.
     """
 
     def __init__(self, objective):
@@ -377,6 +389,7 @@ class _Bases:
         self.objective = objective
         self.values = tuple(objective.coeffs.values())
         plan = self.plan = _plan(n)
+        self.A, self.Q = _lp_maps(n)
         self.size = HiveShape(n).size
         self.inter = plan.scan[0].tolist()  # flat indices, in LP order
         self.cden = math.lcm(*[v.denominator for v in self.values])
@@ -384,13 +397,7 @@ class _Bases:
                 for v in (objective.coeffs[p] for p in hive_indices(n))]
         self.cwalk = [cint[f] for f in plan.walk]
         self.cinter = [cint[f] for f in self.inter]
-        col = {f: j for j, f in enumerate(plan.walk)}
-        m, k, width = len(plan.quads), len(self.inter), len(plan.walk)
-        self.Q = np.zeros((m, width), dtype=np.int64)
-        for r, quad in enumerate(plan.quads.tolist()):
-            for f, sign in zip(quad, (1, 1, -1, -1)):
-                if f in col:
-                    self.Q[r, col[f]] = sign
+        (m, k), width = self.A.shape, self.Q.shape[1]
         self.rows = []  # per basis its row indices
         self.mults = []  # per basis the multipliers of every row
         self.D = []  # per basis d
@@ -399,7 +406,7 @@ class _Bases:
 
     def add(self, rows, neg_adj, det, mults):
         X = neg_adj @ self.Q[list(rows)]
-        S = self.plan.coefs @ X + det * self.Q
+        S = self.A @ X + det * self.Q
         if max((sum(map(abs, r)) for r in X.tolist() + S.tolist()),
                default=0) > _SCALE_LIMIT:
             return
@@ -461,9 +468,8 @@ class BasisTable:
     def _bases(self, objective) -> _Bases:
         key = id(objective)
         bases = self._tables.get(key)
-        # the entry holds the objective, so its id is not reused meanwhile
-        if (bases is None or bases.objective is not objective
-                or bases.values != tuple(objective.coeffs.values())):
+        # the entry holds the objective, so no other live object has its id
+        if bases is None or bases.values != tuple(objective.coeffs.values()):
             bases = self._tables[key] = _Bases(objective)
             if len(self._tables) > TABLE_OBJECTIVES:
                 self._tables.popitem(last=False)
@@ -513,7 +519,7 @@ class BasisTable:
         k = len(bases.inter)
         if len(rows) != k or rows in bases.rows:
             return
-        A = bases.plan.coefs[list(rows)]
+        A = bases.A[list(rows)]
         got = _adjugate(A.tolist())
         if got is None:
             return

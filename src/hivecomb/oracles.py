@@ -65,29 +65,38 @@ def lr_coefficient_tableaux(lam, mu, nu_star) -> int:
     for r in range(rows):
         for c in range(nu_star[r] - 1, inner[r] - 1, -1):
             cells.append((r, c))
-    return _place(cells, 0, mu, [0] * (len(mu) + 1), {})
+    return _place(cells, mu)
 
 
-def _place(cells, pos, mu, used, grid):
-    """Tableaux completing grid from cells[pos] on; used[v] counts the
-    entries v placed so far."""
-    if pos == len(cells):
-        return 1
+def _place(cells, mu):
+    """Tableaux filling cells in order, each cell trying its values in
+    increasing order: a depth-first search on a stack of the value in place
+    at each open cell (0 before the first), so it never recurses."""
     k = len(mu)
-    r, c = cells[pos]
-    right = grid.get((r, c + 1), k)
-    above = grid.get((r - 1, c), 0) if r > 0 else 0
-    total = 0
-    for v in range(above + 1, min(right, r + 1, k) + 1):
-        if used[v] >= mu[v - 1]:
-            continue
-        if v > 1 and used[v] >= used[v - 1]:
+    used = [0] * (k + 1)  # used[v] counts the entries v placed so far
+    grid, total = {}, 0
+    placed = [0]
+    while placed:
+        r, c = cell = cells[len(placed) - 1]
+        v = placed[-1]
+        if v:
+            used[v] -= 1
+        else:
+            v = grid.get((r - 1, c), 0)
+        hi = min(grid.get((r, c + 1), k), r + 1, k)
+        v += 1
+        while v <= hi and (used[v] >= mu[v - 1]
+                           or v > 1 and used[v] >= used[v - 1]):
+            v += 1
+        if v > hi:
+            placed.pop()
             continue
         used[v] += 1
-        grid[(r, c)] = v
-        total += _place(cells, pos + 1, mu, used, grid)
-        used[v] -= 1
-    grid.pop((r, c), None)
+        grid[cell] = placed[-1] = v
+        if len(placed) == len(cells):
+            total += 1
+        else:
+            placed.append(0)
     return total
 
 

@@ -23,8 +23,6 @@ from .plane import (DIRECTION_ORDER, INF, Direction, PlanePoint,
                     SegmentOrRay, coord, frac)
 from .weights import as_weight
 
-_DIR_INDEX = {d.name: i for i, d in enumerate(DIRECTION_ORDER)}
-
 
 def reconstruct(m: Diagram) -> Honeycomb:
     """The unique honeycomb with this diagram.
@@ -46,16 +44,11 @@ def reconstruct(m: Diagram) -> Honeycomb:
             raise NotADiagram("nonintegral-multiplicity",
                               f"piece {s} has multiplicity {s.multiplicity}")
 
-    at = {v.location: i for i, v in enumerate(m.vertices)}
-    nverts = len(m.vertices)
-    adj = [[] for _ in range(nverts)]
-    for s in m.segments:
-        if s.is_ray:
-            assert s.base in at
-            continue
-        a, b = at[s.base], at[s.end]
-        adj[a].append((b, s.direction))
-        adj[b].append((a, s.direction.opposite()))
+    # per vertex, (the vertex at the far end, census index) per finite piece
+    adj = [[] for _ in m.vertices]
+    for (a, di), (_, b) in m.leaving.items():
+        if b is not None:
+            adj[a].append((b, di))
 
     census = m.ray_census()
     census = tuple(int(c) for c in census)
@@ -76,12 +69,10 @@ def reconstruct(m: Diagram) -> Honeycomb:
     while queue:
         a = queue.popleft()
         ca = tuple(int(x) for x in m.vertices[a].mults)
-        for b, d in adj[a]:
+        for b, di in adj[a]:
             cb = tuple(int(x) for x in m.vertices[b].mults)
-            ci = _DIR_INDEX[d.name]
-            co = _DIR_INDEX[d.opposite().name]
-            t = _add(trans[a],
-                     _sub(local[ca][1][ci][1], local[cb][1][co][0]))
+            t = _add(trans[a], _sub(local[ca][1][di][1],
+                                    local[cb][1][(di + 3) % 6][0]))
             if b in trans:
                 if trans[b] != t:
                     raise NotADiagram(
@@ -205,29 +196,13 @@ def elide(m: Diagram) -> PostElisionGraph:
         if v.kind not in ("Y", "inverted-Y", "crossing") or max(v.mults) != 1:
             raise NotSimplyDegenerate(v)
     verts = m.vertices
-    at = {v.location.coords(): k for k, v in enumerate(verts)}
     node_of, nodes = {}, []
     for k, v in enumerate(verts):
         if v.kind != "crossing":
             node_of[k] = len(nodes)
             nodes.append(v)
 
-    # (vertex, census index) -> (the piece leaving it that way, the vertex
-    # at its far end or None for a ray); canonical pieces end at vertices
-    leaving = {}
-    for s in m.segments:
-        x, y, z = s.base.coords()
-        a = at[x, y, z]
-        di = _DIR_INDEX[s.direction.name]
-        if s.is_ray:
-            leaving[a, di] = (s, None)
-            continue
-        dx, dy, dz = s.direction.step
-        length = s.length
-        b = at[x + length * dx, y + length * dy, z + length * dz]
-        leaving[a, di] = (s, b)
-        leaving[b, (di + 3) % 6] = (s, a)
-
+    leaving = m.leaving
     edges, half_edges = [], []
     seen = set()
     used_rays = set()
@@ -256,12 +231,8 @@ def elide(m: Diagram) -> PostElisionGraph:
                 break
 
     free_lines = []
-    for s in m.segments:
-        if not s.is_ray:
-            continue
-        k = at[s.base.coords()]
-        di = _DIR_INDEX[s.direction.name]
-        if (k, di) in used_rays:
+    for (k, di), (_, far) in leaving.items():
+        if far is not None or (k, di) in used_rays:
             continue
         di = (di + 3) % 6
         while True:

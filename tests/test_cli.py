@@ -93,10 +93,18 @@ class TestLrCount:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "out of range" in err
 
-    def test_deep_oracle_recursion_exits_2(self):
-        assert deep_recursion_exit_2(run(
-            "lr-count", "-n", "2", "--lambda", "1500,0", "--mu", "1500,0",
-            "--nu=-1500,-1500", "--verify"))
+    def test_deep_oracle_count_verifies(self):
+        # 3,000 boxes: the tableaux oracle places them without recursion
+        assert run("lr-count", "-n", "2", "--lambda", "1500,0", "--mu",
+                   "1500,0", "--nu=-1500,-1500", "--verify") == (0, "1\n", "")
+
+    def test_recursion_error_exits_2(self, monkeypatch):
+        def deep(t):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(cli, "count_lattice_hives", deep)
+        assert deep_recursion_exit_2(run("lr-count", "-n", "3", "--lambda",
+                                         "2,1,0", "--mu", "2,1,0", "--nu",
+                                         "-1,-2,-3"))
 
     def test_oracle_mismatch_exits_3(self, monkeypatch):
         monkeypatch.setattr(cli, "transcribed_lr_count", lambda t: 99)
@@ -125,6 +133,14 @@ class TestDecompose:
     def test_n_disagreeing_with_weights_exits_2(self):
         assert one_line_exit_2(run("decompose", "-n", "4", "--lambda",
                                    "2,1,0", "--mu", "2,1,0"))
+
+    def test_unequal_lengths_exit_2(self):
+        assert one_line_exit_2(run("decompose", "--lambda", "2,1,0",
+                                   "--mu", "1,0"))
+
+    def test_nonintegral_weight_exits_2(self):
+        assert one_line_exit_2(run("decompose", "--lambda", "1/2,0",
+                                   "--mu", "1,0"))
 
     @pytest.mark.parametrize("lam, mu", [(f"{2 ** 61},0", "0,0"),
                                          (f"{2 ** 60},0,0", "0,0,0")])
@@ -202,12 +218,13 @@ class TestLift:
 class TestJsonRoundtrips:
     def test_hive(self):
         for h in enumerate_lattice_hives(ADJ):
-            assert cli.hive_from_json(cli.hive_to_json(h)) == h
+            d = cli.hive_to_json(h)
+            assert Hive(d["n"], d["entries"]) == h
 
     def test_fractional_hive(self):
         h = Hive(2, [0, 1, 2, Fraction(3, 2), 2, 1])
-        back = cli.hive_from_json(cli.hive_to_json(h))
-        assert back == h
+        d = cli.hive_to_json(h)
+        assert Hive(d["n"], d["entries"]) == h
         assert "3/2" in cli.hive_to_json(h)["entries"]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -343,6 +343,14 @@ class TestDecompose:
         with pytest.raises(ValueError, match="hive size must be at least 1"):
             decompose_tensor_product((), ())
 
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            decompose_tensor_product((2, 1, 0), (1, 0))
+
+    def test_nonintegral_weight_refused(self):
+        with pytest.raises(ValueError, match="integral"):
+            decompose_tensor_product((Fraction(1, 2), 0), (1, 0))
+
     @pytest.mark.parametrize("lam, mu", [((2 ** 61, 0), (0, 0)),
                                          ((2 ** 60, 0, 0), (0, 0, 0))])
     def test_oversized_refused_before_listing_sigma(self, monkeypatch, lam,

@@ -1,5 +1,6 @@
 """Weighted-perimeter lifts: weights, inflation, molts, and the LP driver."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -392,6 +393,37 @@ class TestLargestLift:
         with pytest.raises(RuntimeError, match="multiplicity 1/2"):
             largest_lift(ADJ)
 
+    def test_tie_retries_with_a_new_seed(self, monkeypatch, caplog):
+        solve = lift_module.lp_maximize
+        ties = (((1, 1), F(0), F(1)),)
+        calls = []
+
+        def tied_once(objective, t):
+            calls.append(objective)
+            out = solve(objective, t)
+            if len(calls) == 1:
+                out = dataclasses.replace(out, ties=ties)
+            return out
+
+        monkeypatch.setattr(lift_module, "lp_maximize", tied_once)
+        with caplog.at_level("WARNING", logger="hivecomb.lift"):
+            rep = largest_lift(ADJ)
+        assert rep.retries == 1 and len(calls) == 2
+        assert rep.weight.seed == "0:retry1"
+        assert any(r.levelname == "WARNING" and "retry 1" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_ties_every_time_raise_with_witness(self, monkeypatch):
+        ties = (((1, 1), F(0), F(1)),)
+        solve = lift_module.lp_maximize
+        monkeypatch.setattr(
+            lift_module, "lp_maximize",
+            lambda objective, t: dataclasses.replace(solve(objective, t),
+                                                     ties=ties))
+        with pytest.raises(DegenerateOptimum) as got:
+            largest_lift(ADJ, max_retries=0)
+        assert got.value.witness == ties
+
     def test_negative_max_retries_rejected(self):
         with pytest.raises(ValueError):
             largest_lift(ADJ, max_retries=-1)
@@ -709,6 +741,13 @@ class TestNonintegralVertex:
             with pytest.raises(ValueError, match="size"):
                 find_nonintegral_vertex(n, 2, boundaries=[WITNESS])
         assert find_nonintegral_vertex(3, 2, boundaries=[ADJ]) is None
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_nonintegral_boundary_refused(self, n):
+        zero = (0,) * (n - 1)
+        half = BoundaryTriple((F(1, 2), *zero), (0, *zero), (*zero, F(-1, 2)))
+        with pytest.raises(ValueError, match="integral"):
+            find_nonintegral_vertex(n, 2, boundaries=[half])
 
     def test_n4_small_window_is_integral(self):
         assert find_nonintegral_vertex(4, 1) is None

@@ -128,6 +128,34 @@ class TestElide:
         with pytest.raises(NotSimplyDegenerate):
             elide(diagram(hive_to_honeycomb(h)))
 
+    @staticmethod
+    def tripods_and_line(*bases):
+        """Tripods at bases and the whole line y = 1, which crosses the NE
+        ray of each tripod below it and reaches no trivalent vertex."""
+        p = PlanePoint(0, 1, -1)
+        return canonical_diagram(
+            [SegmentOrRay(b, DIRECTIONS[d], INF) for b in bases
+             for d in ("NE", "SE", "W")]
+            + [SegmentOrRay(p, DIRECTIONS[d], INF) for d in ("NW", "SE")])
+
+    def test_free_line(self):
+        m = self.tripods_and_line(O)
+        assert sorted(v.kind for v in m.vertices) == ["Y", "crossing"]
+        g = elide(m)
+        assert [v.kind for v in g.nodes] == ["Y"]
+        assert g.free_lines == ((1, 1),)
+        assert len(g.half_edges) == 3 and g.edges == ()
+
+    def test_free_line_through_two_crossings(self):
+        # the line crosses both NE rays, and the first tripod's W ray
+        # crosses the second's SE ray
+        m = self.tripods_and_line(O, PlanePoint(2, -1, -1))
+        assert [v.kind for v in m.vertices].count("crossing") == 3
+        g = elide(m)
+        assert [v.kind for v in g.nodes] == ["Y", "Y"]
+        assert g.free_lines == ((1, 1),)
+        assert len(g.half_edges) == 6 and g.edges == ()
+
 
 class TestBreatheLoop:
     def g3(self):
