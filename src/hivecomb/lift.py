@@ -38,7 +38,7 @@ from .hive import (Hive, HiveShape, _flat, _plan, _rhombus_between,
 from .honeycomb import _add, build_tinkertoy_from_type, dual_graph
 from .plane import DIRECTION_ORDER, frac
 from .reconstruct import elide
-from .simplex import LPSolution, maximize
+from .simplex import LPSolution, _gauss_jordan, maximize
 from .weights import BoundaryTriple, boundary_grid
 
 log = logging.getLogger(__name__)
@@ -379,9 +379,13 @@ class _Bases:
     """The proved optimal bases of one objective, stacked for lookup.
 
     A boundary enters as w, its entries along the walk; the row constants
-    are Q @ w (_lp_maps).  A basis B with d = |det A_B| and adj = d * A_B^-1
-    has vertex x with d * x = X @ w, X = -adj @ Q_B, and d times the slacks
-    of every row S @ w, S = A @ X + d * Q: two int64 maps per basis.
+    are Q @ w (_lp_maps).  A basis B enters by one fraction-free reduction
+    of [A_B | Q_B] (simplex._gauss_jordan), which leaves each row as
+    p_j x_j + q_j.w = 0.  With d the least common denominator of
+    A_B^-1 Q_B (the lcm of the p_j, a divisor of |det A_B|; every basis
+    seen at n <= 6 has |det A_B| = 1), its vertex x has d * x = X @ w,
+    X = -d A_B^-1 Q_B, and d times the slacks of every row are S @ w,
+    S = A @ X + d * Q: two int64 maps per basis.
     """
 
     def __init__(self, objective):
@@ -404,10 +408,11 @@ class _Bases:
         self.X = np.zeros((0, k, width), dtype=np.int64)
         self.S = np.zeros((0, m, width), dtype=np.int64)
 
-    def add(self, rows, neg_adj, det, mults):
-        X = neg_adj @ self.Q[list(rows)]
-        S = self.A @ X + det * self.Q
-        if max((sum(map(abs, r)) for r in X.tolist() + S.tolist()),
+    def add(self, rows, X, d, mults):
+        S = self.A @ X + d * self.Q
+        if S[list(rows)].any():
+            raise RuntimeError("inexact vertex map of a simplex basis")
+        if max((sum(map(abs, r)) for r in S.tolist()),
                default=0) > _SCALE_LIMIT:
             return
         if len(self.rows) >= TABLE_BASES:
@@ -415,33 +420,9 @@ class _Bases:
             self.X, self.S = self.X[1:], self.S[1:]
         self.rows.append(rows)
         self.mults.append(mults)
-        self.D.append(det)
+        self.D.append(d)
         self.X = np.concatenate([self.X, X[np.newaxis]])
         self.S = np.concatenate([self.S, S[np.newaxis]])
-
-
-def _adjugate(a):
-    """(d, adj) for a square int matrix a with adj = d * a^-1 in ints and
-    d = |det a| > 0, or None when a is singular.  Fraction-free
-    Gauss-Jordan on [a | I] (Bareiss 1968): every division is exact, and
-    the left half ends as (+-d) * I."""
-    k = len(a)
-    m = [row + [int(i == j) for j in range(k)] for i, row in enumerate(a)]
-    prev = 1
-    for c in range(k):
-        p = next((r for r in range(c, k) if m[r][c]), None)
-        if p is None:
-            return None
-        m[c], m[p] = m[p], m[c]
-        piv = m[c]
-        p = piv[c]
-        for r, row in enumerate(m):
-            f = row[c]
-            if r != c and (f or p != prev):
-                m[r] = [(p * v - f * w) // prev for v, w in zip(row, piv)]
-        prev = p
-    s = 1 if prev > 0 else -1
-    return s * prev, [[s * v for v in row[k:]] for row in m]
 
 
 class BasisTable:
@@ -510,8 +491,10 @@ class BasisTable:
                          LPSolution(x, lp_value, bases.mults[i], True), ())
 
     def learn(self, objective, sol):
-        """Hold the basis of a unique simplex optimum: the rows with a
-        positive multiplier, after checking its certificate exactly."""
+        """Hold the basis B of a unique simplex optimum, the rows with a
+        positive multiplier: check that the multipliers are positive and
+        balance the objective on B, reduce [A_B | Q_B] once and check
+        A_B X = -d Q_B, all exactly in ints (see _Bases)."""
         if not sol.unique:
             return
         bases = self._bases(objective)
@@ -519,27 +502,28 @@ class BasisTable:
         k = len(bases.inter)
         if len(rows) != k or rows in bases.rows:
             return
-        A = bases.A[list(rows)]
-        got = _adjugate(A.tolist())
-        if got is None:
-            return
-        det, adj = got
-        if max([det] + [sum(map(abs, r)) for r in adj]) > _SCALE_LIMIT:
-            return
-        neg_adj = np.array([[-v for v in r] for r in adj],
-                           dtype=np.int64).reshape(k, k)
-        if (neg_adj @ A).tolist() != [[-det * (i == j) for j in range(k)]
-                                      for i in range(k)]:
-            raise RuntimeError("inexact adjugate of a simplex basis")
-        # the certificate, exactly in ints: u = du / (det * cden) on the rows
-        du = [sum(map(int.__mul__, col, bases.cinter))
-              for col in neg_adj.T.tolist()]
+        A, Q = bases.A[list(rows)], bases.Q[list(rows)]
+        # sum_B u_r A_r = -c, on the numerators of u = du / den
+        us = [sol.multipliers[r] for r in rows]
+        den = math.lcm(*[u.denominator for u in us])
+        du = [u.numerator * (den // u.denominator) for u in us]
         if min(du, default=1) <= 0 or any(
-                sum(map(int.__mul__, col, du)) != -det * cj
+                sum(map(int.__mul__, col, du)) * bases.cden != -cj * den
                 for col, cj in zip(A.T.tolist(), bases.cinter)):
             raise RuntimeError("simplex certificate is not positive on its "
                                "basis or does not balance the objective")
-        bases.add(rows, neg_adj, det, sol.multipliers)
+        tab = np.hstack([A, Q]).tolist()
+        piv = _gauss_jordan(tab, range(k))
+        if len(piv) < k:
+            raise RuntimeError("singular simplex basis")
+        d = math.lcm(*[tab[r][j] for j, r in piv.items()])
+        X = [[-(d // tab[r][j]) * v for v in tab[r][k:]]
+             for j, r in piv.items()]
+        # X goes to int64 only within the scale limit
+        if max([d] + [sum(map(abs, r)) for r in X]) > _SCALE_LIMIT:
+            return
+        bases.add(rows, np.array(X, dtype=np.int64).reshape(Q.shape), d,
+                  sol.multipliers)
 
 
 basis_table = BasisTable()
@@ -561,15 +545,17 @@ def lp_maximize(objective: ObjectiveVector, t: BoundaryTriple) -> LPOutcome:
     and it is optimal over t exactly when x_B satisfies every row of t.
     Its multipliers are then strictly positive on k independent tight rows,
     so x_B is the only optimum (Mangasarian, LAA 1979): any other optimum
-    would make all of B tight too.  A lookup takes the integer boundary
-    entries of t and, with one int64 product, det times every slack of
-    every held basis; the first basis with no negative slack is a hit, one
-    more product gives its det * x_B, and its own multipliers are the
-    certificate returned.  At a degenerate optimum, where more than k rows
-    are tight, that may be another optimal basis than the one the simplex
-    would end on; the hive, value and uniqueness are the same.  Boundaries
-    that are not integral, or have a boundary entry of 2^29 or more in
-    absolute value, skip the table.
+    would make all of B tight too.  A basis enters by one fraction-free
+    reduction of [A_B | Q_B], which gives its vertex map and the least
+    common denominator d of A_B^-1 Q_B, a divisor of |det A_B| (_Bases).
+    A lookup takes the integer boundary entries of t and, with one int64
+    product, d times every slack of every held basis; the first basis with
+    no negative slack is a hit, one more product gives its d * x_B, and
+    its own multipliers are the certificate returned.  At a degenerate
+    optimum, where more than k rows are tight, that may be another optimal
+    basis than the one the simplex would end on; the hive, value and
+    uniqueness are the same.  Boundaries that are not integral, or have a
+    boundary entry of 2^29 or more in absolute value, skip the table.
 
     Otherwise the simplex works on the free-basic tableau, where the
     interior entries never leave the basis, and reads uniqueness off the
@@ -787,21 +773,11 @@ def _vertices(rows, low):
 def _first_basis(coefs, tight):
     """The lexicographically first basis of the rows coefs[r] with bit r
     set in tight, as row indices: of a vertex's bases, the first in subset
-    order.  A greedy pass keeps each row independent of those kept before,
-    by fraction-free elimination in ints."""
-    pivots, picked = [], []
-    for r, v in enumerate(coefs):
-        if not tight >> r & 1:
-            continue
-        for col, p in pivots:
-            f = v[col]
-            if f:
-                v = [a * p[col] - f * b for a, b in zip(v, p)]
-        col = next((c for c, a in enumerate(v) if a), None)
-        if col is not None:
-            pivots.append((col, v))
-            picked.append(r)
-    return picked
+    order.  They are the pivot columns of the transpose, reduced column by
+    column (simplex._gauss_jordan)."""
+    picked = [r for r in range(len(coefs)) if tight >> r & 1]
+    tab = [list(col) for col in zip(*[coefs[r] for r in picked])]
+    return [picked[j] for j in _gauss_jordan(tab, range(len(picked)))]
 
 
 def find_nonintegral_vertex(n, entry_bound, seed=None, limit=None,

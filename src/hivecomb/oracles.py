@@ -5,9 +5,11 @@ dimension formula, and vertex enumeration for the hive polytope.  The
 enumeration solves every nonsingular square subsystem of the rhombus
 constraints; the subsystems and their integer adjugates depend on n only, so
 they are tabulated once per n and each boundary costs two int64 products.
-Nothing here shares combinatorial helpers with the hive or lift code: the
-boundary filling, rhombus scan, and flat indexing are all reimplemented, so
-agreement between the two sides is evidence rather than tautology.
+From the package it takes only error types and the Hive and BoundaryTriple
+data classes, which carry its input and its vertices; nothing here shares
+combinatorial helpers with the hive or lift code: the boundary filling,
+rhombus scan, and flat indexing are all reimplemented, so agreement between
+the two sides is evidence rather than tautology.
 """
 
 import math

@@ -102,6 +102,23 @@ def _pivot(prow, col, rows):
     return p, nz
 
 
+def _gauss_jordan(tab, cols):
+    """Pivot each column of cols in turn on the first unused row of tab with
+    a nonzero entry there (_pivot, in place); returns {column: pivot row},
+    in pivot order.  A column with no such row is skipped: it depends on the
+    columns pivoted before it."""
+    free = list(range(len(tab)))
+    piv = {}
+    for j in cols:
+        for r in free:
+            if tab[r][j]:
+                _pivot(tab[r], j, tab)
+                free.remove(r)
+                piv[j] = r
+                break
+    return piv
+
+
 def maximize(c, rows) -> LPSolution:
     """Maximize c.x subject to coef.x + const >= 0 for each row.
 
@@ -125,13 +142,7 @@ def maximize(c, rows) -> LPSolution:
 
     # one Gaussian pivot per free variable; a column with nothing left to
     # pivot on is a line in the feasible set, kept nonbasic at zero
-    aside = {}  # free variable -> its set-aside row
-    for j in range(k):
-        r = next((i for i in range(m)
-                  if i not in aside.values() and full[i][j]), None)
-        if r is not None:
-            _pivot(full[r], j, full)
-            aside[j] = r
+    aside = _gauss_jordan(full, range(k))  # free variable -> set-aside row
     lines = [j for j in range(k) if j not in aside]
     cons = [i for i in range(m) if i not in aside.values()]
 

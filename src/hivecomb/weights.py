@@ -23,7 +23,8 @@ def as_weight(v) -> tuple:
     w = tuple(coord(x) for x in v)
     for a, b in zip(w, w[1:]):
         if a < b:
-            raise NotDominant(f"{v} is not weakly decreasing")
+            raise NotDominant(f"({', '.join(map(str, w))}) is not weakly "
+                              "decreasing")
     return w
 
 

@@ -69,6 +69,13 @@ class TestLrCount:
         assert code == 2
         assert "integral" in err
 
+    def test_increasing_weight_names_its_entries(self):
+        assert run("lr-count", "--lambda", "0,1", "--mu", "1,0",
+                   "--nu=-1,-1") == (2, "", "invalid input: (0, 1) is not "
+                                     "weakly decreasing\n")
+        _, _, err = run("gt-count", "--lambda", "1/2,1")
+        assert err == "invalid input: (1/2, 1) is not weakly decreasing\n"
+
     def test_part_count_mismatch(self):
         code, _, _ = run("lr-count", "-n", "4", "--lambda", "2,1,0",
                          "--mu", "2,1,0", "--nu", "-1,-2,-3")

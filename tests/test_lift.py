@@ -29,7 +29,7 @@ from hivecomb import lift as lift_module
 from hivecomb.cli import lift_report_to_json
 from hivecomb.lift import _lp_rows, _vertices, basis_table
 from hivecomb.weights import boundary_grid
-from hivecomb.simplex import maximize
+from hivecomb.simplex import LPSolution, maximize
 from vertex_reference import dense_vertices
 
 F = Fraction
@@ -653,6 +653,56 @@ class TestBasisTable:
         assert run(range(50)) == run(reversed(range(50)))
         assert basis_table.cache_info().hits > 0
 
+    @pytest.mark.parametrize("limit, held", [(0, 0), (3, 0), (5, 1)])
+    def test_scale_limit(self, monkeypatch, limit, held):
+        """ADJ's basis has d = 1, vertex-map row sums up to 2 and slack-map
+        row sums up to 5: a limit of 0 refuses it before its slack map is
+        built, 3 refuses it after, and 5 lets it in.  A refused basis leaves
+        the answers as they were and every later lookup a miss."""
+        monkeypatch.setattr(lift_module, "_SCALE_LIMIT", limit)
+        basis_table.cache_clear()
+        ov = wperim_objective(W3)
+        for _ in range(2):
+            out = lp_maximize(ov, ADJ)
+            assert (out.hive, out.value, out.unique) == \
+                simplex_outcome(ov, ADJ)
+        info = basis_table.cache_info()
+        assert (info.hits, info.misses, info.bases) == (held, 2 - held,
+                                                       (held,))
+        basis_table.cache_clear()
+
+    def test_unsound_basis_raises(self):
+        """Rows 0 and 2 of the n=4 LP are opposite, so with row 3 they
+        balance the objective -A_3 with multipliers 1 but are no basis;
+        they do not balance the zero objective."""
+        inter = HiveShape(4).interior()
+        a3 = lift_module._lp_maps(4)[0][3].tolist()
+        coeffs = {p: F(0) for p in hive_indices(4)}
+        coeffs.update((p, F(-v)) for p, v in zip(inter, a3))
+        u = [F(int(r in (0, 2, 3))) for r in range(18)]
+        sol = LPSolution((F(0),) * 3, F(0), tuple(u), True)
+        basis_table.cache_clear()
+        with pytest.raises(RuntimeError, match="singular"):
+            basis_table.learn(ObjectiveVector(4, coeffs), sol)
+        zero = ObjectiveVector(4, {p: F(0) for p in hive_indices(4)})
+        with pytest.raises(RuntimeError, match="balance"):
+            basis_table.learn(zero, sol)
+        basis_table.cache_clear()
+
+    def test_inexact_vertex_map_raises(self, monkeypatch):
+        reduce = lift_module._gauss_jordan
+
+        def off_by_one(tab, cols):
+            piv = reduce(tab, cols)
+            tab[piv[0]][-1] += 1
+            return piv
+
+        monkeypatch.setattr(lift_module, "_gauss_jordan", off_by_one)
+        basis_table.cache_clear()
+        with pytest.raises(RuntimeError, match="inexact"):
+            lp_maximize(wperim_objective(W3), ADJ)
+        basis_table.cache_clear()
+
     def test_memory_is_bounded(self, monkeypatch):
         monkeypatch.setattr(lift_module, "TABLE_BASES", 2)
         monkeypatch.setattr(lift_module, "TABLE_OBJECTIVES", 2)
@@ -809,6 +859,30 @@ class TestNonintegralVertex:
         hits = [firsts[f] for f in sorted(firsts) if not firsts[f].is_integral]
         assert len(hits) == 3 and hits[0] != min(hits, key=entries)
         assert find_nonintegral_vertex(5, 3, boundaries=[t]) == (t, hits[0])
+
+    def test_first_basis_matches_subset_scan(self):
+        """_first_basis gives the first nonsingular k-subset of tight rows
+        in subset order, found by brute force, at every vertex of WITNESS
+        and of seeded n=4 and n=5 boundaries, degenerate ones (more than k
+        tight rows) included."""
+        rng = random.Random(24)
+        ts = [WITNESS, THREE_HITS] + [feasible_boundary(n, rng, 3)
+                                      for n in (4, 5) for _ in range(6)]
+        vertices = degenerate = 0
+        for t in ts:
+            _, bvals, rows = _lp_rows(t)
+            coefs = [coef for coef, _ in rows]
+            k = len(coefs[0])
+            for _, _, tight in _vertices(rows, min(bvals.values())):
+                scan = [r for r in range(len(rows))
+                        if tight >> r & 1 and any(coefs[r])]
+                first = next(list(sub) for sub in
+                             itertools.combinations(scan, k)
+                             if round(np.linalg.det([coefs[r] for r in sub])))
+                assert lift_module._first_basis(coefs, tight) == first
+                vertices += 1
+                degenerate += len(scan) > k
+        assert (vertices, degenerate) == (68, 67)
 
     def test_corrupted_hit_raises(self, monkeypatch):
         """Hits are re-verified by checks that python -O keeps."""
