@@ -16,13 +16,12 @@ from fractions import Fraction
 from .diagram import canonical_diagram, diagram
 from .errors import HivecombError, Infeasible, NotADiagram
 from .hive import (Hive, count_lattice_hives, count_gt_patterns,
-                   decompose_tensor_product, exists_lattice_hive,
-                   hive_indices)
+                   decompose_tensor_product, exists_lattice_hive)
 from .honeycomb import (Honeycomb, build_tinkertoy_from_type,
                         tinkertoy_size, validate_configuration)
 from .lift import find_nonintegral_vertex, largest_lift, make_weight_function
 from .oracles import transcribed_lr_count
-from .plane import DIRECTIONS, INF, PlanePoint, SegmentOrRay, frac
+from .plane import DIRECTIONS, INF, PlanePoint, SegmentOrRay, coord, frac
 from .reconstruct import overlay, prv_witness, reconstruct
 from .weights import BoundaryTriple, boundary_grid, dominant_vectors
 
@@ -62,7 +61,7 @@ def frac_str(v) -> str:
 
 
 def hive_to_json(h: Hive) -> dict:
-    return {"n": h.n, "entries": [str(h[p]) for p in hive_indices(h.n)]}
+    return {"n": h.n, "entries": [str(x) for x in h.entries]}
 
 
 def honeycomb_to_json(h: Honeycomb) -> dict:
@@ -72,12 +71,19 @@ def honeycomb_to_json(h: Honeycomb) -> dict:
                           for v in verts]}
 
 
+def number_from_json(c):
+    """An int or a string such as "3/4", as plane.coord stores it; a bool
+    is refused with ValueError, a float by coord with TypeError."""
+    if isinstance(c, bool):
+        raise ValueError(f"{c!r} is not an exact number")
+    return coord(c)
+
+
 def point_from_json(p) -> PlanePoint:
     """A point written as a JSON array of exactly three exact numbers."""
-    if (not isinstance(p, list) or len(p) != 3
-            or any(isinstance(c, bool) for c in p)):
+    if not isinstance(p, list) or len(p) != 3:
         raise ValueError(f"a point is an array of three numbers, not {p!r}")
-    return PlanePoint(*map(frac, p))
+    return PlanePoint(*map(number_from_json, p))
 
 
 def direction_from_json(name):
@@ -95,10 +101,13 @@ def honeycomb_from_json(data) -> Honeycomb:
     built, so a small file with a huge type is refused at once.
     """
     try:
-        census = tuple(int(c) for c in data["type"])
+        census = tuple(number_from_json(c) for c in data["type"])
         points = [point_from_json(p) for p in data["positions"]]
     except TypeError as ex:  # JSON of the wrong shape
         raise ValueError(f"not a honeycomb: {ex}") from ex
+    if any(type(c) is not int for c in census):
+        raise ValueError(f"type entries are whole numbers, not "
+                         f"{data['type']!r}")
     expected = tinkertoy_size(census)
     if len(points) != expected:
         raise ValueError(f"expected {expected} positions, got {len(points)}")
@@ -117,8 +126,10 @@ def diagram_from_json(data):
     try:
         rows = [(point_from_json(row["base"]),
                  direction_from_json(row["direction"]),
-                 INF if row["length"] == "inf" else frac(row["length"]),
-                 frac(row.get("multiplicity", 1))) for row in data]
+                 INF if row["length"] == "inf"
+                 else number_from_json(row["length"]),
+                 number_from_json(row.get("multiplicity", 1)))
+                for row in data]
     except TypeError as ex:  # JSON of the wrong shape
         raise ValueError(f"not a diagram: {ex}") from ex
     return canonical_diagram([SegmentOrRay(*row) for row in rows])
@@ -181,9 +192,8 @@ def _clip_ray(base, d, box):
 
 def render_svg(m, box_margin=2.0) -> str:
     """Static picture of a diagram: one path per segment, marks per vertex."""
-    if not 0 < box_margin < math.inf:
-        raise ValueError(f"box margin must be finite and positive, "
-                         f"not {box_margin}")
+    if not box_margin > 0:
+        raise ValueError(f"box margin must be positive, not {box_margin}")
     anchors = []
     for s in m.segments:
         anchors.append(_project(s.base))
@@ -195,6 +205,8 @@ def render_svg(m, box_margin=2.0) -> str:
     ys = [a[1] for a in anchors]
     pad = box_margin * SCALE
     box = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+    if not all(map(math.isfinite, box)):
+        raise ValueError(f"box margin {box_margin} gives no finite picture")
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="{box[0]:.1f} {box[1]:.1f} '

@@ -104,7 +104,8 @@ class _Plan(NamedTuple):
     rhombi: tuple  # every Rhombus, in scan order
     walk: tuple  # flat indices of _walk(n)
     scan: tuple  # (iidx, lo_ptr, lo_abc, up_ptr, up_abc) for _kernels.frontier
-    fixed: tuple  # boundary-only rhombi: flat (obtuse, obtuse, acute, acute)
+    fixed: tuple  # boundary-only rhombi (only at n = 2, with no interior
+    # entry): flat (obtuse, obtuse, acute, acute)
     quads: np.ndarray  # every rhombus: flat (obtuse, obtuse, acute, acute)
 
 
@@ -443,11 +444,14 @@ def decompose_tensor_product(lam, mu) -> dict:
 
     Every boundary (lam, mu, -reverse(sigma)) is twisted by (-lam_n, -mu_n),
     as in _kernel_row, so it is the same as listing the shifted
-    s = sigma - (lam_n + mu_n), dominant in [0, lam'_1 + mu'_1] with the
-    twisted weights lam' = lam - lam_n and mu' = mu - mu_n.  All rows are
-    built at once: one cumsum of the walk's steps, one vectorised test of
-    the boundary-only rhombi, and the survivors, tagged by s, go into one
-    frontier walk.
+    s = sigma - (lam_n + mu_n) with the twisted weights lam' = lam - lam_n
+    and mu' = mu - mu_n.  Only the dominant s >= 0 under Weyl's caps
+    s_j <= min over i + k = j + 1 of (lam'_i + mu'_k) are listed: every
+    nonzero term meets them, sigma being the spectrum of A + B for
+    Hermitian A, B of spectra lam, mu.  At n = 2 they are the three
+    boundary-only rhombi, and from n = 3 on there are none.  All rows are
+    built at once, by one cumsum of the walk's steps, and go, tagged by
+    s, into one frontier walk.
 
     The bound of _kernel_row is one number for every sigma.  After the
     twist every lam and mu step is >= 0 and every nu step, -s_i, is <= 0,
@@ -469,18 +473,14 @@ def decompose_tensor_product(lam, mu) -> dict:
     steps = [x - lam[-1] for x in lam] + [x - mu[-1] for x in mu]
     top = sum(steps)
     _check_bound(top + max(n - 2, 0) * steps[0])
-    shifted = np.array(dominant_vectors(n, 0, steps[0] + steps[n], top),
-                       dtype=np.int64)
+    caps = [min(steps[i] + steps[n + j - i] for i in range(j + 1))
+            for j in range(n)]
+    shifted = np.array(dominant_vectors(n, 0, caps, top), dtype=np.int64)
     walk_steps = np.empty((shifted.shape[0], 3 * n - 1), dtype=np.int64)
     walk_steps[:, :2 * n] = steps
     walk_steps[:, 2 * n:] = -shifted[:, :0:-1]
     rows = np.zeros((shifted.shape[0], size), dtype=np.int64)
     rows[:, plan.walk] = walk_steps.cumsum(axis=1)
-    if plan.fixed:
-        o1, o2, a1, a2 = np.array(plan.fixed, dtype=np.int64).T
-        keep = np.flatnonzero((rows[:, o1] + rows[:, o2] - rows[:, a1]
-                               - rows[:, a2] >= 0).all(axis=1))
-        shifted, rows = shifted[keep], rows[keep]
     counts, _ = _kernels.frontier(rows, *plan.scan,
                                   ids=np.arange(rows.shape[0]))
     return {tuple(x + shift for x in s): c

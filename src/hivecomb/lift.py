@@ -35,8 +35,8 @@ from .errors import (DegenerateOptimum, HasCycle, NotDegenerate,
 from .hive import (Hive, HiveShape, _flat, _plan, _rhombus_between,
                    boundary_from_weights, hive_indices, hive_to_honeycomb,
                    rhombi, rhombus_value, root_of)
-from .honeycomb import _add, build_tinkertoy_from_type, dual_graph
-from .plane import DIRECTION_ORDER, frac
+from .honeycomb import build_tinkertoy_from_type, dual_sides
+from .plane import DIRECTION_ORDER, coord, frac, perp_step
 from .reconstruct import elide
 from .simplex import LPSolution, _gauss_jordan, maximize
 from .weights import BoundaryTriple, boundary_grid
@@ -251,44 +251,27 @@ def max_inflation(H: Hive, regions) -> Fraction:
 # ---------------------------------------------------------------------------
 # molting recipes
 
-_ROOT_STEPS = ((-2, 1, 1), (2, -1, -1), (-1, -1, 2),
-               (1, 1, -2), (1, -2, 1), (-1, 2, -1))
-
-
 def molt_regions(m, v) -> frozenset:
     """The regions to inflate, all at once, to unfold degenerate vertex v.
 
     Returned as dual-graph points of the collapsed patch in its own standard
     position (the patch is the tinkertoy of v's ray census).  The recipe
-    marks every bounded region of the patch, plus the 4-sided gaps along the
-    sides carrying the designated thick edges: both non-excluded sides for a
-    Y (its mirror likewise), the thicker line's two sides for a crossing,
-    and the heaviest side for a rake or 5-valent vertex.  A simple Y or a
-    crossing of two multiplicity-1 lines has nothing to molt.
+    marks every hexagon of the patch, plus the 4-sided gaps strictly inside
+    the `dual_sides` sides carrying the designated thick edges: both
+    non-excluded sides for a Y (its mirror likewise), the thicker line's two
+    sides for a crossing, and the heaviest side for a rake or 5-valent
+    vertex.  A simple Y or a crossing of two multiplicity-1 lines has
+    nothing to molt.
     """
-    census = []
-    for x in v.mults:
-        x = frac(x)
-        if x.denominator != 1 or x < 0:
-            raise ValueError(f"vertex multiplicities must be whole: {v.mults}")
-        census.append(int(x))
-    census = tuple(census)
+    census = tuple(coord(x) for x in v.mults)
+    if any(type(x) is not int or x < 0 for x in census):
+        raise ValueError(f"vertex multiplicities must be whole: {v.mults}")
     kind = v.kind
     if kind in ("Y", "inverted-Y", "crossing") and max(census) == 1:
         raise NotDegenerate(f"nothing to molt at a simple {kind} vertex")
 
-    pts = dual_graph(build_tinkertoy_from_type(census)).points
-    hexes = {p for p in pts if all(_add(p, s) in pts for s in _ROOT_STEPS)}
-    sides = {}
-    for k in range(6):
-        if census[k] == 0:
-            continue
-        step = DIRECTION_ORDER[k].step
-        reach = max(sum(a * b for a, b in zip(p, step)) for p in pts)
-        sides[k] = {p for p in pts
-                    if sum(a * b for a, b in zip(p, step)) == reach}
-    corners = {p for p in pts
-               if sum(p in side for side in sides.values()) >= 2}
+    hexes = build_tinkertoy_from_type(census).hexagons
+    sides = dual_sides(census)
 
     if kind == "6-valent":
         designated = ()
@@ -307,7 +290,9 @@ def molt_regions(m, v) -> frozenset:
 
     marked = set(hexes)
     for k in designated:
-        marked |= sides[k] - corners
+        start, step = sides[k][0], perp_step(DIRECTION_ORDER[k])
+        marked.update(tuple(a + i * b for a, b in zip(start, step))
+                      for i in range(1, census[k]))
     if not marked:
         raise NotDegenerate(f"nothing to molt at {v}")
     return frozenset(marked)

@@ -50,29 +50,23 @@ def reconstruct(m: Diagram) -> Honeycomb:
         if b is not None:
             adj[a].append((b, di))
 
-    census = m.ray_census()
-    census = tuple(int(c) for c in census)
     try:
-        whole = build_tinkertoy_from_type(census)
+        whole = build_tinkertoy_from_type(m.type)
     except TypeDoesNotClose as ex:
         raise NotADiagram("tension", str(ex)) from ex
 
-    local = {}  # census -> (tinkertoy, dual sides), shared across vertices
-    for v in m.vertices:
-        c = tuple(int(x) for x in v.mults)
-        if c not in local:
-            local[c] = (build_tinkertoy_from_type(c), dual_sides(c))
+    census = [v.mults for v in m.vertices]  # ints, by the check above
+    local = {c: (build_tinkertoy_from_type(c), dual_sides(c))
+             for c in census}
 
     # walk the finite pieces, pinning each region's translation
     trans = {0: (0, 0, 0)}
     queue = deque([0])
     while queue:
         a = queue.popleft()
-        ca = tuple(int(x) for x in m.vertices[a].mults)
         for b, di in adj[a]:
-            cb = tuple(int(x) for x in m.vertices[b].mults)
-            t = _add(trans[a], _sub(local[ca][1][di][1],
-                                    local[cb][1][(di + 3) % 6][0]))
+            t = _add(trans[a], _sub(local[census[a]][1][di][1],
+                                    local[census[b]][1][(di + 3) % 6][0]))
             if b in trans:
                 if trans[b] != t:
                     raise NotADiagram(
@@ -83,8 +77,7 @@ def reconstruct(m: Diagram) -> Honeycomb:
                 queue.append(b)
 
     claimed = {}
-    for i, v in enumerate(m.vertices):
-        c = tuple(int(x) for x in v.mults)
+    for i, c in enumerate(census):
         for w in local[c][0].vertices:
             wp = _add(w, trans[i])
             if wp in claimed:
@@ -266,10 +259,11 @@ def breathe_loop(h: Honeycomb, loop, epsilon) -> Honeycomb:
     the next by an edge of the post-elision graph.  A vertex coordinate is
     the face one below it minus the face one above it on that axis (as in
     hive._vertex_table), so the move is a change of face heights: each
-    bounded face rises by epsilon times the loop's clockwise winding number
-    around it.  Positive epsilon thus grows a clockwise loop, and the lobes
-    of a self-crossing loop move oppositely.  Raises EpsilonTooLarge with
-    the largest legal step when some edge would go negative.
+    bounded face, a hexagon of the tinkertoy, rises by epsilon times the
+    loop's clockwise winding number around it.  Positive epsilon thus grows
+    a clockwise loop, and the lobes of a self-crossing loop move
+    oppositely.  Raises EpsilonTooLarge with the largest legal step when
+    some edge would go negative.
     """
     eps = frac(epsilon)
     graph = elide(diagram(h))
@@ -289,17 +283,15 @@ def breathe_loop(h: Honeycomb, loop, epsilon) -> Honeycomb:
             raise ValueError(f"loop vertices {loop_pts[k - 1]} and "
                              f"{loop_pts[k]} are not joined")
 
-    # each bounded face (six corners) weighted by the clockwise winding
-    # around its corners' centroid; the centroid is inside the face, as no
-    # face of a simply degenerate honeycomb collapses to a segment or point
+    # each hexagon weighted by the clockwise winding around the centroid of
+    # its six corners; the centroid is inside the face, as no face of a
+    # simply degenerate honeycomb collapses to a segment or point
     t = h.tinkertoy
-    corners = {}
-    for v in t.vertices:
-        for f in triangle(v):
-            corners.setdefault(f, []).append(h.position(v))
-    rise = {f: -_winding(loop_pts, (Fraction(sum(p.x for p in ps), 6),
-                                    Fraction(sum(p.y for p in ps), 6)))
-            for f, ps in corners.items() if len(ps) == 6}
+    rise = {}
+    for f in t.hexagons:
+        ps = [h.position(_add(f, d.step)) for d in DIRECTION_ORDER]
+        rise[f] = -_winding(loop_pts, (Fraction(sum(p.x for p in ps), 6),
+                                       Fraction(sum(p.y for p in ps), 6)))
     # unit-rate displacement: +rise on the axis where a face is one below
     # the vertex, -rise where it is one above
     moves = {v: [sum(rise.get(f, 0) * (v[a] - f[a]) for f in triangle(v))

@@ -98,25 +98,30 @@ def nu_to_sigma(nu) -> tuple:
     return sigma_to_nu(nu)
 
 
-def dominant_vectors(n: int, lo: int, hi: int, total=None):
+def dominant_vectors(n: int, lo: int, hi, total=None):
     """All weakly decreasing integer n-vectors with entries in [lo, hi].
 
+    hi is one bound, or a list or tuple of n bounds, one per position.
     With total given, only those summing to it.  A list of tuples of ints
-    in decreasing lexicographic order.  ValueError for a negative n.
+    in decreasing lexicographic order.  ValueError for a negative n or
+    another count of bounds.
 
     Listed without recursion: each position takes, from the top down,
-    every value of its valid range, which follows from the entry before
-    it and the running sum.  With total given, a value v at position i is
-    valid when the n - 1 - i entries after it, each in [lo, v], can make
-    up the rest of the sum.
+    every value of its valid range, which follows from its bound, the
+    entry before it and the running sum.  With total given, a value v at
+    position i is tried when the n - 1 - i entries after it, each in
+    [lo, v], can make up the rest of the sum.
     """
     if n < 0:
         raise ValueError(f"a weight has at least 0 parts, not {n}")
+    caps = list(hi) if isinstance(hi, (list, tuple)) else [hi] * n
+    if len(caps) != n:
+        raise ValueError(f"{len(caps)} bounds for {n} positions")
     out, vec, floor = [], [0] * n, [0] * n
     i, partial = 0, 0  # vec[:i] is fixed and sums to partial
     while True:
         if i < n:
-            top = vec[i - 1] if i else hi
+            top = min(vec[i - 1], caps[i]) if i else caps[0]
             floor[i] = lo
             if total is not None:
                 rest = n - 1 - i

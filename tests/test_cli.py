@@ -292,7 +292,7 @@ class TestRender:
                 assert x0 - 0.1 <= x <= x0 + w + 0.1
                 assert y0 - 0.1 <= y <= y0 + h + 0.1
 
-    @pytest.mark.parametrize("box", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("box", ["0", "-5", "nan", "inf", "1e308"])
     def test_bad_box_exits_2(self, tmp_path, box):
         path = save(tmp_path, "h.json", cli.honeycomb_to_json(std(2)))
         assert one_line_exit_2(run("render", path, "--box", box,
@@ -310,6 +310,9 @@ class TestRender:
         [{"base": ["0", "0", "0"], "direction": "NE", "length": 2.5}],
         {"type": 5, "positions": []},
         {"type": [1, 0, 1, 0, 1, 0], "positions": [["0", "0"]]},
+        {"type": [1.9, 0, True, 0, "1", 0], "positions": [["0", "0", "0"]]},
+        {"type": [True, 0, 1, 0, 1, 0], "positions": [["0", "0", "0"]]},
+        {"type": ["1/2", 0, 1, 0, 1, 0], "positions": [["0", "0", "0"]]},
     ])
     def test_wrong_shape_exits_2(self, tmp_path, payload):
         path = save(tmp_path, "bad.json", payload)
@@ -321,6 +324,9 @@ class TestRender:
         {"type": [1, 0, 1, 0, 1, 0], "positions": [["0", "0", "0", "0"]]},
         [{"base": "000", "direction": "NE", "length": "2"}],
         [{"base": [0, False, 0], "direction": "NE", "length": "2"}],
+        [{"base": ["0", "0", "0"], "direction": d, "length": "inf",
+          "multiplicity": True} for d in ("NE", "SE", "W")],
+        [{"base": ["0", "0", "0"], "direction": "NE", "length": True}],
     ])
     def test_point_of_wrong_shape_exits_2(self, tmp_path, payload):
         path = save(tmp_path, "bad.json", payload)

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -376,6 +377,15 @@ class TestDecompose:
         assert got == decompose_tensor_product((2, 1, 0), (2, 1, 0))
         assert {type(x) for sigma in got for x in sigma} == {int}
         assert {type(c) for c in got.values()} == {int}
+
+    def test_wide_pieri_product_is_quick(self):
+        """(45, 0^7) squared has the 46 Pieri terms (90 - k, k, 0^6).  The
+        Weyl caps list only those, not every dominant sigma of size 90."""
+        lam = (45,) + (0,) * 7
+        start = time.perf_counter()
+        got = decompose_tensor_product(lam, lam)
+        assert time.perf_counter() - start < 10
+        assert got == {(90 - k, k) + (0,) * 6: 1 for k in range(46)}
 
 
 class TestGT:

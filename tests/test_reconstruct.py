@@ -1,17 +1,20 @@
 """Rebuilding honeycombs from diagrams, overlays, elision, loop breathing."""
 
 import importlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hivecomb import (DIRECTIONS, INF, BoundaryTriple, EpsilonTooLarge, Hive,
-                      InflationVector, NotDominant, NotSimplyDegenerate,
-                      PlanePoint, SegmentOrRay, build_gl_tinkertoy,
-                      canonical_diagram, diagram, elide,
-                      enumerate_lattice_hives, hive_indices,
+from hivecomb import (DIRECTIONS, INF, BoundaryTriple, Diagram,
+                      EpsilonTooLarge, Hive, InflationVector, NotDominant,
+                      NotSimplyDegenerate, PlanePoint, SegmentOrRay,
+                      build_gl_tinkertoy, canonical_diagram, cli, diagram,
+                      elide, enumerate_lattice_hives, hive_indices,
                       hive_to_honeycomb, honeycomb_to_hive, inflate,
                       max_inflation, overlay, prv_witness, reconstruct,
                       standard_configuration)
@@ -53,6 +56,56 @@ class TestReconstruct:
                             lambda h: m.translate((1, -1, 0)))
         with pytest.raises(RuntimeError):
             reconstruct(m)
+
+    @staticmethod
+    def corrupt(module, monkeypatch, branch):
+        """Break one helper of reconstruct so that one monodromy check
+        fails.  No canonical diagram fails them: its vertices' dual
+        polygons tile the type's dual region, as the dual subdivision of
+        any balanced plane curve does."""
+        if branch == "gluings disagree":
+            # every side ends one root step further: a finite piece read
+            # from its two ends gives two translations
+            sides = module.dual_sides
+            monkeypatch.setattr(module, "dual_sides", lambda c: {
+                k: (a, (b[0] + 2, b[1] - 1, b[2] - 1))
+                for k, (a, b) in sides(c).items()})
+        elif branch == "two regions claim":
+            # every side a point: each region is glued at the origin
+            monkeypatch.setattr(module, "dual_sides", lambda c: {
+                k: ((0, 0, 0), (0, 0, 0)) for k in range(6) if c[k]})
+        elif branch == "regions do not tile":
+            # the diagram reports twice its type, whose region is 4x larger
+            read = Diagram.type.fget
+            monkeypatch.setattr(Diagram, "type", property(
+                lambda m: tuple(2 * c for c in read(m))))
+        else:
+            # one vertex moved off every axis before validation
+            validate = module.validate_configuration
+            monkeypatch.setattr(module, "validate_configuration",
+                                lambda t, pos: validate(t, {
+                                    **pos, min(pos): pos[min(pos)].translate(
+                                        (1, 1, -2))}))
+
+    @pytest.mark.parametrize("branch", ["gluings disagree",
+                                        "two regions claim",
+                                        "regions do not tile", "off-axis"])
+    def test_monodromy_is_not_a_diagram(self, monkeypatch, tmp_path,
+                                        branch):
+        module = importlib.import_module("hivecomb.reconstruct")
+        h = standard_configuration(build_gl_tinkertoy(2))
+        self.corrupt(module, monkeypatch, branch)
+        with pytest.raises(NotADiagram) as ex:
+            reconstruct(diagram(h))
+        assert ex.value.reason == "monodromy"
+        assert branch in str(ex.value)
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(cli.honeycomb_to_json(h)))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            assert cli.main(["overlay", str(path), str(path)]) == 5
+        assert err.getvalue().startswith("malformed diagram:")
+        assert "(monodromy)" in err.getvalue() and branch in err.getvalue()
 
     def test_fractional_multiplicity_rejected(self):
         pieces = [SegmentOrRay(O, DIRECTIONS[d], INF, multiplicity=F(3, 2))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import simplex_reference
+from hivecomb import simplex
 from hivecomb.errors import Infeasible, Unbounded
 from hivecomb.hive import HiveShape
 from hivecomb.lift import _lp_rows, make_weight_function, wperim_objective
@@ -158,6 +159,28 @@ def _random_lp(rng):
     else:
         c = [num(-4, 4) for _ in range(k)]
     return c, rows
+
+
+@pytest.mark.parametrize("column, delta, message", [
+    (-1, -1, "optimizer is infeasible"),
+    (-1, 1, "multiplier negative or on a slack row"),
+    (1, 1, "certificate does not balance the objective"),
+])
+def test_corrupted_certificate_raises(monkeypatch, column, delta, message):
+    """Each exact check of the final certificate catches a tableau that
+    went wrong: maximize -x over 0 <= x <= 5, with the set-aside row of x
+    moved after its pivot (its constant, or its slack coefficient of row
+    x >= 0)."""
+    reduce = simplex._gauss_jordan
+
+    def moved(tab, cols):
+        piv = reduce(tab, cols)
+        tab[piv[0]][column] += delta
+        return piv
+
+    monkeypatch.setattr(simplex, "_gauss_jordan", moved)
+    with pytest.raises(RuntimeError, match=message):
+        maximize((-1,), [((1,), 0), ((-1,), 5)])
 
 
 def test_matches_fraction_reference_on_random_lps():

@@ -95,8 +95,11 @@ def recursive_dominant_vectors(n, lo, hi, total=None):
 
 def test_dominant_vectors_match_recursive_listing():
     """Same list in the same order on seeded draws: n = 0, no total,
-    empty ranges (hi < lo, or a total out of reach) and negative bounds."""
+    empty ranges (hi < lo, or a total out of reach) and negative bounds.
+    Each draw is listed again with one bound per position, each at most
+    hi, against the recursive listing without the vectors past them."""
     rng = random.Random(22)
+    cap_rng = random.Random(23)
     seen = set()
     for _ in range(1500):
         n = rng.randint(0, 5)
@@ -105,10 +108,18 @@ def test_dominant_vectors_match_recursive_listing():
         total = None if rng.random() < 0.3 else rng.randint(
             n * min(lo, hi) - 3, n * max(lo, hi) + 3)
         got = dominant_vectors(n, lo, hi, total)
-        assert got == recursive_dominant_vectors(n, lo, hi, total), (
-            n, lo, hi, total)
+        want = recursive_dominant_vectors(n, lo, hi, total)
+        assert got == want, (n, lo, hi, total)
         seen.add((n == 0, total is None, not got, lo < 0))
-    assert len(seen) >= 10
+        caps = [cap_rng.randint(min(lo - 1, hi), hi) for _ in range(n)]
+        capped = dominant_vectors(n, lo, caps, total)
+        assert capped == [v for v in want
+                          if all(x <= c for x, c in zip(v, caps))], (
+            n, lo, caps, total)
+        seen.add(("capped", len(capped) < len(got), bool(capped)))
+    assert len(seen) >= 13
+    with pytest.raises(ValueError):
+        dominant_vectors(3, 0, [1, 1])
 
 
 def test_dominant_vectors_of_many_parts():
