@@ -23,7 +23,8 @@ from .lift import find_nonintegral_vertex, largest_lift, make_weight_function
 from .oracles import transcribed_lr_count
 from .plane import DIRECTIONS, INF, PlanePoint, SegmentOrRay, coord, frac
 from .reconstruct import overlay, prv_witness, reconstruct
-from .weights import BoundaryTriple, boundary_grid, dominant_vectors
+from .weights import (BoundaryTriple, boundary_grid, dominant_vectors,
+                      random_dominant_vector)
 
 SCALE = 40.0
 KIND_COLORS = {"Y": "#1b6ca8", "inverted-Y": "#48a14d", "crossing": "#888888",
@@ -38,7 +39,12 @@ def parse_weight(text):
 
 
 def default_seed():
-    return int(os.environ.get("HIVECOMB_SEED", "0"))
+    text = os.environ.get("HIVECOMB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"HIVECOMB_SEED must be an integer, not "
+                         f"{text!r}") from None
 
 
 def weights_from_args(args, *texts):
@@ -320,11 +326,11 @@ def cmd_saturate_check(args) -> int:
         triples = []
         while len(triples) < args.samples:
             lam, mu = rng.choice(lams), rng.choice(lams)
-            nus = dominant_vectors(n, -n * args.max_entry,
-                                   n * args.max_entry,
-                                   -(sum(lam) + sum(mu)))
-            if nus:
-                triples.append(BoundaryTriple(lam, mu, rng.choice(nus)))
+            nu = random_dominant_vector(rng, n, -n * args.max_entry,
+                                        n * args.max_entry,
+                                        -(sum(lam) + sum(mu)))
+            if nu is not None:
+                triples.append(BoundaryTriple(lam, mu, nu))
     else:
         triples = boundary_grid(n, args.max_entry, n * args.max_entry)
     checked = 0
@@ -453,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = default_seed()
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = default_seed()
         return args.run(args)
     except Infeasible as ex:
         print(f"infeasible: {ex}", file=sys.stderr)

@@ -97,11 +97,11 @@ class Unbounded(HivecombError):
 
 
 class DegenerateOptimum(HivecombError):
-    """The LP optimum face is not a single point."""
+    """The LP optimum is not unique; witness is a direction along its face."""
 
     def __init__(self, witness):
         self.witness = witness
-        super().__init__("optimum is not unique; witness directions attached")
+        super().__init__("optimum is not unique; witness direction attached")
 
 
 class HasCycle(HivecombError):

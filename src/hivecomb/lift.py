@@ -327,16 +327,16 @@ def _lp_rows(t: BoundaryTriple):
 
 @dataclass(frozen=True)
 class LPOutcome:
-    """An optimal hive with its certificate and any optimum-face slack."""
+    """An optimal hive with its certificate and any optimum-face direction."""
 
     hive: Hive
     value: Fraction
     certificate: object  # simplex.LPSolution over the interior variables
-    ties: tuple  # (entry, low, high) for entries free on the optimal face
+    direction: object  # None, or d along the optimal face, in scan order
 
     @property
     def unique(self) -> bool:
-        return not self.ties
+        return self.direction is None
 
 
 #: The basis table keeps at most this many bases per objective, dropping
@@ -473,7 +473,7 @@ class BasisTable:
         value = lp_value + Fraction(sum(map(int.__mul__, bases.cwalk, walk)),
                                     bases.cden)
         return LPOutcome(Hive(t.n, ent), value,
-                         LPSolution(x, lp_value, bases.mults[i], True), ())
+                         LPSolution(x, lp_value, bases.mults[i], True), None)
 
     def learn(self, objective, sol):
         """Hold the basis B of a unique simplex optimum, the rows with a
@@ -545,11 +545,11 @@ def lp_maximize(objective: ObjectiveVector, t: BoundaryTriple) -> LPOutcome:
     Otherwise the simplex works on the free-basic tableau, where the
     interior entries never leave the basis, and reads uniqueness off the
     optimal tableau: when every nonbasic slack column has a strictly
-    negative reduced cost, the optimum is the only one and ties is empty
-    with no further solve, and the basis enters the table.  Otherwise the
-    certificate is inconclusive, and every interior entry is re-optimized
-    both ways across the optimal face, so ties lists exactly the entries
-    the optimum leaves free.
+    negative reduced cost, the optimum x is the only one, and the basis
+    enters the table.  Otherwise one more LP (Mangasarian) maximizes the
+    sum of A_i.d over the tight rows i, capped at 1, for c.d >= 0 and each
+    A_i.d >= 0, the moves d along the optimal face: 1 gives a direction, 0
+    proves x unique, for the tight rows of a vertex have full column rank.
     """
     n = t.n
     if objective.n != n:
@@ -564,18 +564,18 @@ def lp_maximize(objective: ObjectiveVector, t: BoundaryTriple) -> LPOutcome:
     entries = {**bvals, **dict(zip(inter, sol.x))}
     hive = Hive(n, [entries[p] for p in hive_indices(n)])
     value = sol.value + sum(objective.coeffs[p] * v for p, v in bvals.items())
-    ties = []
-    if not sol.unique:
-        face = rows + [(tuple(c), -sol.value)]
-        for i, p in enumerate(inter):
-            probe_c = [Fraction(0)] * len(inter)
-            probe_c[i] = Fraction(1)
-            hi = maximize(probe_c, face).value
-            probe_c[i] = Fraction(-1)
-            lo = -maximize(probe_c, face).value
-            if lo != hi:
-                ties.append((p, lo, hi))
-    return LPOutcome(hive, value, sol, tuple(ties))
+    direction = None if sol.unique else _face_direction(c, rows, sol.x)
+    return LPOutcome(hive, value, sol, direction)
+
+
+def _face_direction(c, rows, x):
+    """lp_maximize's uniqueness LP at the optimum x: a direction, or None."""
+    tight = [coef for coef, const in rows
+             if sum(a * v for a, v in zip(coef, x)) + const == 0]
+    total = [sum(col) for col in zip(*tight)]
+    face = [(coef, 0) for coef in tight + [c]] + [([-a for a in total], 1)]
+    out = maximize(total, face)
+    return out.x if out.value else None
 
 
 @dataclass
@@ -600,9 +600,9 @@ def largest_lift(t: BoundaryTriple, w: WeightFunction = None,
 
     When the optimum face is not a single vertex the weight function is
     regenerated from a derived seed and the LP re-run; a tie surviving
-    max_retries regenerations raises DegenerateOptimum with the free
-    directions attached.  The report's structural flags are all re-derived
-    from the optimal hive itself.
+    max_retries regenerations raises DegenerateOptimum with a direction
+    along the optimal face attached.  The report's structural flags are all
+    re-derived from the optimal hive itself.
     """
     if w is None:
         w = make_weight_function(t.n)
@@ -614,11 +614,10 @@ def largest_lift(t: BoundaryTriple, w: WeightFunction = None,
     out = lp_maximize(wperim_objective(w), t)
     while not out.unique:
         if retries >= max_retries:
-            raise DegenerateOptimum(out.ties)
+            raise DegenerateOptimum(out.direction)
         retries += 1
-        log.warning("optimum over %r is not unique (%d free entries); "
-                    "re-perturbing the weight function (retry %d)",
-                    t, len(out.ties), retries)
+        log.warning("optimum over %r is not unique; re-perturbing the "
+                    "weight function (retry %d)", t, retries)
         w = make_weight_function(t.n, seed=f"{w.seed!r}:retry{retries}")
         out = lp_maximize(wperim_objective(w), t)
 

@@ -11,6 +11,7 @@ boundary of a GL_n honeycomb / hive; its total sum must vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import NotDominant, ZeroSumViolation
@@ -145,6 +146,45 @@ def dominant_vectors(n: int, lo: int, hi, total=None):
                 i += 1
                 break
             partial -= vec[i]
+
+
+@lru_cache(maxsize=1 << 16)
+def _dominant_count(n, lo, hi, total):
+    """len(dominant_vectors(n, lo, hi, total)) for one bound hi: each first
+    entry v, at least the mean total / n, with the count of the n - 1
+    entries after it, bound by v and summing to total - v."""
+    if n == 0:
+        return int(total == 0)
+    count = 0
+    for v in range(max(lo, -(-total // n)), min(hi, total - (n - 1) * lo) + 1):
+        count += _dominant_count(n - 1, lo, v, total - v)
+    return count
+
+
+def random_dominant_vector(rng, n: int, lo: int, hi: int, total: int):
+    """rng.choice(dominant_vectors(n, lo, hi, total)) for one bound hi, or
+    None, drawing nothing, when there is none; without listing them.
+
+    random.choice draws its index as rng.randrange(count) does, so the same
+    rng state picks the same vector.  The index is unranked in
+    dominant_vectors' order: each position takes, from the top down, the
+    first value whose tails (_dominant_count, memoised on the position, the
+    bound and the rest of the sum) cover what is left of the index.  The
+    count recurses once per position, so the recursion limit bounds n.
+    """
+    count = _dominant_count(n, lo, hi, total)
+    if not count:
+        return None
+    index, vec = rng.randrange(count), []
+    for rest in range(n - 1, -1, -1):
+        for v in range(min(hi, total - rest * lo), lo - 1, -1):
+            tails = _dominant_count(rest, lo, v, total - v)
+            if index < tails:
+                break
+            index -= tails
+        vec.append(v)
+        hi, total = v, total - v
+    return tuple(vec)
 
 
 def boundary_grid(n: int, bound: int, nu_bound: int):

@@ -1,7 +1,9 @@
 """Drive the command line in-process and pin its transcripts."""
 
+import dataclasses
 import io
 import json
+import random
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,11 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from hivecomb import cli
+from hivecomb import cli, lift
 from hivecomb.diagram import canonical_diagram, diagram
 from hivecomb.hive import Hive, enumerate_lattice_hives
 from hivecomb.honeycomb import build_gl_tinkertoy, standard_configuration
-from hivecomb.weights import BoundaryTriple
+from hivecomb.weights import BoundaryTriple, dominant_vectors
 
 ADJ = BoundaryTriple((2, 1, 0), (2, 1, 0), (-1, -2, -3))
 WIDE = ",".join(["0"] * 1100)  # deeper than Python's recursion limit
@@ -204,6 +206,21 @@ class TestLift:
         monkeypatch.setenv("HIVECOMB_SEED", "9")
         run(*self.ARGS, "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+    def test_bad_env_seed_exits_2(self, monkeypatch, seed):
+        monkeypatch.setenv("HIVECOMB_SEED", seed)
+        result = run(*self.ARGS)
+        assert one_line_exit_2(result) and "HIVECOMB_SEED" in result[2]
+
+    def test_optimum_tied_every_time_exits_2(self, monkeypatch):
+        solve = lift.lp_maximize
+        monkeypatch.setattr(
+            lift, "lp_maximize",
+            lambda objective, t: dataclasses.replace(
+                solve(objective, t), direction=(Fraction(1),)))
+        result = run(*self.ARGS, "--max-retries", "0")
+        assert one_line_exit_2(result) and "not unique" in result[2]
 
     def test_infeasible_exits_4(self):
         code, _, err = run("lift", "-n", "2", "--lambda", "1,0",
@@ -443,6 +460,27 @@ class TestSaturateCheck:
                            "--N", "3", "--seed", "1")
         assert code == 0
         assert "checked 25 triples" in out
+
+    def test_samples_draw_as_the_full_listing_did(self, monkeypatch):
+        """The reference lists every nu and draws one with rng.choice."""
+        checked = []
+        monkeypatch.setattr(cli, "exists_lattice_hive",
+                            lambda t: checked.append(t) or True)
+        for n in range(2, 7):
+            for seed in range(5):
+                checked.clear()
+                assert run("saturate-check", "-n", str(n), "--samples", "4",
+                           "--seed", str(seed))[0] == 0
+                rng = random.Random(seed)
+                lams = dominant_vectors(n, -2, 2)
+                want = []
+                while len(want) < 4:
+                    lam, mu = rng.choice(lams), rng.choice(lams)
+                    nus = dominant_vectors(n, -2 * n, 2 * n,
+                                           -(sum(lam) + sum(mu)))
+                    if nus:
+                        want.append(BoundaryTriple(lam, mu, rng.choice(nus)))
+                assert checked[::2] == want, (n, seed)
 
     def test_bad_factor_exits_2(self):
         assert run("saturate-check", "-n", "2", "--N", "0")[0] == 2

@@ -29,7 +29,9 @@ from hivecomb import lift as lift_module
 from hivecomb.cli import lift_report_to_json
 from hivecomb.lift import _lp_rows, _vertices, basis_table
 from hivecomb.weights import boundary_grid
-from hivecomb.simplex import LPSolution, maximize
+from hivecomb.errors import Unbounded
+from hivecomb.simplex import LPSolution, _gauss_jordan, _integral, maximize
+from test_simplex import _random_lp
 from vertex_reference import dense_vertices
 
 F = Fraction
@@ -68,21 +70,48 @@ def feasible_boundary(n, rng, bound=6):
                 return t
 
 
-def reference_ties(objective, t):
-    """Entries free on the optimal face, by solving for both extremes."""
-    inter, _, rows = _lp_rows(t)
-    c = [objective.coeffs[p] for p in inter]
+def probe_ties(c, rows):
+    """(index, low, high) for each variable free on the optimal face of
+    max c.x over rows, by solving for both extremes."""
     face = rows + [(c, -maximize(c, rows).value)]
     ties = []
-    for i, p in enumerate(inter):
-        unit = [0] * len(inter)
+    for i in range(len(c)):
+        unit = [0] * len(c)
         unit[i] = 1
         hi = maximize(unit, face).value
         unit[i] = -1
         lo = -maximize(unit, face).value
         if lo != hi:
-            ties.append((p, lo, hi))
+            ties.append((i, lo, hi))
     return tuple(ties)
+
+
+def reference_ties(objective, t):
+    """Entries free on the optimal face, by solving for both extremes."""
+    inter, _, rows = _lp_rows(t)
+    return tuple((inter[i], lo, hi) for i, lo, hi in
+                 probe_ties([objective.coeffs[p] for p in inter], rows))
+
+
+def along_face(c, rows, x, d):
+    """d is a direction along the optimal face at x, exactly: c.d = 0, and x
+    + eps d satisfies every row for eps the least slack_i / -(A_i.d) over
+    the rows with A_i.d < 0, which is positive (1 when there is none)."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    eps = min((F(dot(coef, x) + const) / -dot(coef, d)
+               for coef, const in rows if dot(coef, d) < 0), default=F(1))
+    y = [a + eps * b for a, b in zip(x, d)]
+    return (any(d) and eps > 0 and dot(c, d) == 0
+            and all(dot(coef, y) + const >= 0 for coef, const in rows))
+
+
+def lp_along_face(ov, t, out):
+    """along_face for an lp_maximize outcome over the interior entries."""
+    inter, _, rows = _lp_rows(t)
+    return along_face([ov.coeffs[p] for p in inter], rows,
+                      [out.hive[p] for p in inter], out.direction)
 
 
 class FakeVertex:
@@ -289,7 +318,7 @@ class TestLP:
     def test_unique_point_gl2(self):
         ov = wperim_objective(make_weight_function(2))
         out = lp_maximize(ov, GL2)
-        assert out.unique and out.ties == ()
+        assert out.unique and out.direction is None
         assert entries(out.hive) == [0, 1, 2, 1, 2, 2]
 
     def test_infeasible(self):
@@ -304,7 +333,28 @@ class TestLP:
         out = lp_maximize(z, ADJ)
         assert out.value == 0
         assert not out.unique
-        assert out.ties == (((1, 1), F(1), F(2)),)
+        # the simplex stops at (1, 1) = 1; the face runs up to 2
+        assert out.hive[(1, 1)] == 1 and out.direction[0] > 0
+        assert lp_along_face(z, ADJ, out)
+
+    def test_inconclusive_certificate_solves_twice(self, monkeypatch):
+        calls = []
+
+        def counted(c, rows):
+            calls.append(len(c))
+            return maximize(c, rows)
+
+        monkeypatch.setattr(lift_module, "maximize", counted)
+        basis_table.cache_clear()
+        t5 = BoundaryTriple((4, 3, 2, 1, 0), (4, 3, 2, 1, 0),
+                            (0, -2, -4, -6, -8))
+        for t, tied in ((ADJ, True), (t5, False)):
+            zero = ObjectiveVector(t.n, {p: F(0) for p in hive_indices(t.n)})
+            calls.clear()
+            out = lp_maximize(zero, t)
+            assert not out.certificate.unique and out.unique != tied
+            # the optimum and one uniqueness LP, where 2K probes ran
+            assert calls == [len(out.certificate.x)] * 2
 
     def test_ties_match_reference_probe(self):
         rng = random.Random(23)
@@ -324,11 +374,32 @@ class TestLP:
         untied = 0
         for ov, t in cases:
             out = lp_maximize(ov, t)
-            ref = reference_ties(ov, t)
-            assert out.ties == ref, t
-            assert out.unique == (ref == ()), t
+            assert out.unique == (reference_ties(ov, t) == ()), t
+            assert out.unique or lp_along_face(ov, t, out), t
             untied += out.unique
         assert 0 < untied < len(cases)
+        # bounded random LPs of full column rank, by _face_direction itself
+        seen = {"certified": 0, "inconclusive, unique": 0, "tied": 0}
+        for _ in range(2000):
+            c, rows = _random_lp(rng)
+            k = len(c)
+            if len(_gauss_jordan([_integral(list(coef)) for coef, _ in rows],
+                                 range(k))) < k:
+                continue
+            try:
+                sol = maximize(c, rows)
+                ref = probe_ties(c, rows)
+            except (Infeasible, Unbounded):
+                continue
+            if sol.unique:
+                assert ref == (), (c, rows)
+                seen["certified"] += 1
+                continue
+            d = lift_module._face_direction(c, rows, sol.x)
+            assert (d is None) == (ref == ()), (c, rows)
+            assert d is None or along_face(c, rows, sol.x, d), (c, rows)
+            seen["inconclusive, unique" if d is None else "tied"] += 1
+        assert sum(seen.values()) >= 500 and min(seen.values()) > 0, seen
 
     def test_matches_vertex_enumeration(self):
         rng = random.Random(9)
@@ -395,14 +466,13 @@ class TestLargestLift:
 
     def test_tie_retries_with_a_new_seed(self, monkeypatch, caplog):
         solve = lift_module.lp_maximize
-        ties = (((1, 1), F(0), F(1)),)
         calls = []
 
         def tied_once(objective, t):
             calls.append(objective)
             out = solve(objective, t)
             if len(calls) == 1:
-                out = dataclasses.replace(out, ties=ties)
+                out = dataclasses.replace(out, direction=(F(1),))
             return out
 
         monkeypatch.setattr(lift_module, "lp_maximize", tied_once)
@@ -414,15 +484,14 @@ class TestLargestLift:
                    for r in caplog.records)
 
     def test_ties_every_time_raise_with_witness(self, monkeypatch):
-        ties = (((1, 1), F(0), F(1)),)
         solve = lift_module.lp_maximize
         monkeypatch.setattr(
             lift_module, "lp_maximize",
             lambda objective, t: dataclasses.replace(solve(objective, t),
-                                                     ties=ties))
+                                                     direction=(F(1),)))
         with pytest.raises(DegenerateOptimum) as got:
             largest_lift(ADJ, max_retries=0)
-        assert got.value.witness == ties
+        assert got.value.witness == (F(1),)
 
     def test_negative_max_retries_rejected(self):
         with pytest.raises(ValueError):
@@ -629,7 +698,7 @@ class TestBasisTable:
         z = ObjectiveVector(3, {p: F(0) for p in hive_indices(3)})
         for _ in range(2):
             out = lp_maximize(z, ADJ)
-            assert out.ties == (((1, 1), F(1), F(2)),)
+            assert not out.unique and lp_along_face(z, ADJ, out)
         info = basis_table.cache_info()
         assert (info.hits, info.misses, info.bases) == (0, 2, (0,))
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hivecomb import BoundaryTriple, as_weight, dominant_vectors, sigma_to_nu
+from hivecomb.weights import random_dominant_vector
 from hivecomb.errors import NotDominant
 
 ADJ = BoundaryTriple((2, 1, 0), (2, 1, 0), (-1, -2, -3))
@@ -120,6 +121,40 @@ def test_dominant_vectors_match_recursive_listing():
     assert len(seen) >= 13
     with pytest.raises(ValueError):
         dominant_vectors(3, 0, [1, 1])
+
+
+class IndexAt:
+    """An rng whose randrange(k) returns one fixed index below k."""
+
+    def __init__(self, index):
+        self.index = index
+
+    def randrange(self, k):
+        assert 0 <= self.index < k
+        return self.index
+
+
+def test_random_dominant_vector_unranks_the_listing():
+    """Every index of dominant_vectors' list unranks to its vector, on
+    every total in reach and a few past it (no vector: None, no draw); a
+    seeded rng then draws as rng.choice over the list does."""
+    for n in range(6):
+        for lo, hi in ((-3, 3), (0, 4), (-2, -1), (2, 1)):
+            for total in range(n * lo - 2, n * hi + 3):
+                want = dominant_vectors(n, lo, hi, total)
+                assert [random_dominant_vector(IndexAt(i), n, lo, hi, total)
+                        for i in range(len(want))] == want, (n, lo, hi, total)
+                if not want:
+                    assert random_dominant_vector(
+                        None, n, lo, hi, total) is None
+    params, rng, ref = random.Random(4), random.Random(5), random.Random(5)
+    for _ in range(300):
+        n = params.randint(1, 5)
+        total = params.randint(-4 * n - 2, 4 * n + 2)
+        listed = dominant_vectors(n, -4, 4, total)
+        want = ref.choice(listed) if listed else None
+        assert random_dominant_vector(rng, n, -4, 4, total) == want
+    assert rng.random() == ref.random()
 
 
 def test_dominant_vectors_of_many_parts():
