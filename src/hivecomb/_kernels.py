@@ -1,4 +1,4 @@
-"""The int64 numpy kernel of the lattice-point enumeration.
+"""The lattice-point enumeration of hive polytopes: one schedule, two walks.
 
 `frontier` walks the lattice points of hive polytopes: it fills the interior
 entries of a batch of boundary rows one at a time, in the scan order of the
@@ -7,6 +7,11 @@ triples per interior entry: (a, b, c) means entry >= E[a]+E[b]-E[c] (lower)
 or <= E[a]+E[b]-E[c] (upper), with every referenced slot filled earlier in
 the scan.  Callers keep every entry within +-2^60, so no bound reaches the
 +-2^62 sentinels and no width overflows.
+
+`depth_first` walks the same schedule for one row in Python ints, where a
+small polytope costs a few microseconds against the frontier's numpy call
+overhead.  `count_assignments` counts one row with it, up to DFS_NODES
+partial rows, and hands larger counts to `frontier`.
 """
 
 import numpy as np
@@ -22,6 +27,12 @@ vertex_scan = None
 #: many, finished depth-first one after the other, so memory stays
 #: O(K * FRONTIER_ROWS) rows whatever the widths.
 FRONTIER_ROWS = 1 << 14
+
+#: Most partial rows (the boundary row included) `count_assignments` walks
+#: depth-first before it counts the row again with `frontier`.  So a count
+#: walks at most this many rows twice, and a large one keeps the batched
+#: speed and memory bound.
+DFS_NODES = 1 << 10
 
 _SENTINEL = 1 << 62
 
@@ -101,10 +112,71 @@ def frontier(rows, iidx, lo_ptr, lo_abc, up_ptr, up_abc, ids=None,
     return total, np.concatenate(done) if keep_rows else None
 
 
+def depth_first(row, bounds, budget):
+    """Number of lattice hives on `row` (a list of Python ints, filled in
+    place), or None when the walk would make more than `budget` partial
+    rows, the boundary row included.
+
+    `bounds` is the frontier's schedule as Python ints (hive._Plan.bounds):
+    per interior entry in scan order, its flat index and its lower and
+    upper triples, each side flattened to a, b, c, a, b, c, ...  The same
+    sentinels start each range, and the last entry is counted from its
+    width, never filled.
+    """
+    last = len(bounds) - 1
+    if budget < 1:
+        return None
+    if last < 0:
+        return 1
+    value = [0] * last  # per entry before the last: its value, its top
+    top = [0] * last
+    total = 0
+    nodes = 1
+    k = 0
+    while True:
+        _, lower, upper = bounds[k]
+        lo = -_SENTINEL
+        for i in range(0, len(lower), 3):
+            x = row[lower[i]] + row[lower[i + 1]] - row[lower[i + 2]]
+            if x > lo:
+                lo = x
+        hi = _SENTINEL
+        for i in range(0, len(upper), 3):
+            x = row[upper[i]] + row[upper[i + 1]] - row[upper[i + 2]]
+            if x < hi:
+                hi = x
+        if k == last:
+            if hi >= lo:
+                total += hi - lo + 1
+            k -= 1
+        else:
+            value[k] = lo - 1
+            top[k] = hi
+        # the deepest entry with a value left takes its next one
+        while k >= 0 and value[k] >= top[k]:
+            k -= 1
+        if k < 0:
+            return total
+        nodes += 1
+        if nodes > budget:
+            return None
+        value[k] += 1
+        row[bounds[k][0]] = value[k]
+        k += 1
+
+
 def count_assignments(entries, iidx, lo_ptr, lo_abc, up_ptr, up_abc,
-                      exists_only=False):
+                      exists_only=False, bounds=None):
     """Number of lattice hives on the boundary row `entries` (1 or 0 with
-    exists_only)."""
+    exists_only).
+
+    A count given `bounds` (hive._Plan.bounds) is walked depth-first in
+    Python ints; past DFS_NODES partial rows, and for exists_only, the row
+    goes to `frontier` from the start.
+    """
+    if bounds is not None and not exists_only:
+        count = depth_first(entries.tolist(), bounds, DFS_NODES)
+        if count is not None:
+            return count
     return frontier(entries[np.newaxis, :], iidx, lo_ptr, lo_abc, up_ptr,
                     up_abc, exists_only=exists_only)[0]
-

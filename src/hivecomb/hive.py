@@ -15,7 +15,7 @@ length of one honeycomb edge.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from typing import NamedTuple
 
 import numpy as np
@@ -104,6 +104,8 @@ class _Plan(NamedTuple):
     rhombi: tuple  # every Rhombus, in scan order
     walk: tuple  # flat indices of _walk(n)
     scan: tuple  # (iidx, lo_ptr, lo_abc, up_ptr, up_abc) for _kernels.frontier
+    bounds: tuple  # the scan per interior entry as Python ints, for
+    # _kernels.depth_first: (flat index, flat lower triples, flat upper)
     fixed: tuple  # boundary-only rhombi (only at n = 2, with no interior
     # entry): flat (obtuse, obtuse, acute, acute)
     quads: np.ndarray  # every rhombus: flat (obtuse, obtuse, acute, acute)
@@ -117,11 +119,10 @@ def _walk(n):
 
 
 def _csr(bounds):
-    """Per-entry lists of (a, b, c) entry triples as flat-index CSR arrays."""
+    """Per-entry tuples of flat (a, b, c) triples as CSR arrays."""
     ptr = np.cumsum([0] + [len(b) for b in bounds], dtype=np.int64)
-    abc = np.array([[_flat(*p) for p in triple] for b in bounds for triple in b],
-                   dtype=np.int64).reshape(-1, 3)
-    return ptr, abc
+    abc = np.array([t for b in bounds for t in b], dtype=np.int64)
+    return ptr, abc.reshape(-1, 3)
 
 
 #: The largest hive size whose plan is built.  A plan holds about n^2
@@ -159,14 +160,18 @@ def _plan(n) -> _Plan:
         last = max(inter, key=ipos.get)
         pair, rest = ((r.obtuse, r.acute) if last in r.obtuse
                       else (r.acute, r.obtuse))
-        bounds = lower if pair is r.obtuse else upper
-        bounds[ipos[last]].append((*rest, pair[pair[0] == last]))
+        side = lower if pair is r.obtuse else upper
+        side[ipos[last]].append(
+            tuple(_flat(*p) for p in (*rest, pair[pair[0] == last])))
     # the antidiagonal scan always yields at least one bound on each side
     assert all(lower) and all(upper), "unbounded interior entry in scan"
-    iidx = np.array([_flat(*p) for p in interior], dtype=np.int64)
+    slots = [_flat(*p) for p in interior]
     return _Plan(tuple(found), tuple(_flat(*p) for p in _walk(n)),
-                 (iidx, *_csr(lower), *_csr(upper)), tuple(fixed),
-                 np.array(quads, dtype=np.int64).reshape(-1, 4))
+                 (np.array(slots, dtype=np.int64), *_csr(lower),
+                  *_csr(upper)),
+                 tuple((k, tuple(chain(*lo)), tuple(chain(*up)))
+                       for k, lo, up in zip(slots, lower, upper)),
+                 tuple(fixed), np.array(quads, dtype=np.int64).reshape(-1, 4))
 
 
 def rhombi(shape):
@@ -409,13 +414,17 @@ def _kernel_row(t: BoundaryTriple):
 def count_lattice_hives(t: BoundaryTriple) -> int:
     """Number of integer hives with the given boundary.
 
-    The frontier kernel walks the boundary twisted to lam_n = mu_n = 0 in
-    bounded memory; OverflowError when the weights spread past 2^60.
+    The kernels walk the boundary twisted to lam_n = mu_n = 0: depth-first
+    in Python ints while the count takes at most _kernels.DFS_NODES partial
+    rows, else by the frontier in bounded memory.  OverflowError when the
+    weights spread past 2^60.
     """
     row = _kernel_row(t)
     if row is None:
         return 0
-    return int(_kernels.count_assignments(row, *_plan(t.n).scan))
+    plan = _plan(t.n)
+    return int(_kernels.count_assignments(row, *plan.scan,
+                                          bounds=plan.bounds))
 
 
 def exists_lattice_hive(t: BoundaryTriple) -> bool:

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -34,6 +35,10 @@ from hivecomb.hive import _flat, _plan
 from kernel_reference import count_dfs
 
 ADJ = BoundaryTriple((2, 1, 0), (2, 1, 0), (-1, -2, -3))
+#: The benchmark's pinned count: 1,337,644 hives at n = 6.
+BIG = BoundaryTriple(tuple(5 * x for x in (5, 4, 3, 2, 1, 0)),
+                     tuple(5 * x for x in (5, 4, 3, 2, 1, 0)),
+                     sigma_to_nu(tuple(5 * x for x in (8, 7, 6, 4, 3, 2))))
 
 
 def hives_for(lam, mu, nu):
@@ -68,6 +73,49 @@ def dfs_count(t, exists_only=False):
     if any(row[a] + row[b] - row[c] - row[d] < 0 for a, b, c, d in plan.fixed):
         return 0
     return int(count_dfs(row, *plan.scan, exists_only))
+
+
+#: Node budgets of the depth-first count: none (every count goes to the
+#: frontier), one row, the default, and one no test count reaches.
+BUDGETS = [0, 1, _kernels.DFS_NODES, 1 << 30]
+
+
+@cache
+def count_draws():
+    """Seeded boundaries at n = 1..6 with their reference counts, 60 per n.
+    Every other nu is drawn from the decomposition of lam and mu, so about
+    half are feasible; every third draw is twisted by up to +-2^50, which
+    keeps the count of the untwisted boundary."""
+    rng = random.Random(27)
+    draws = []
+    for n in range(1, 7):
+        while len(draws) < 60 * n:
+            t = random_triple(rng, n, span=4)
+            if t is None:
+                continue
+            if len(draws) % 2:
+                sigma = rng.choice(sorted(decompose_tensor_product(t.lam,
+                                                                   t.mu)))
+                t = BoundaryTriple(t.lam, t.mu, sigma_to_nu(sigma))
+            want = dfs_count(t)
+            if len(draws) % 3 == 0:
+                t = t.twisted(rng.choice((1, -1)) * rng.randint(0, 2 ** 50),
+                              rng.choice((1, -1)) * rng.randint(0, 2 ** 50))
+            draws.append((t, want))
+    return draws
+
+
+def record_frontier(monkeypatch):
+    """The number of rows of each call to _kernels.frontier from now on."""
+    calls = []
+    frontier = _kernels.frontier
+
+    def recorded(rows, *args, **kwargs):
+        calls.append(rows.shape[0])
+        return frontier(rows, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "frontier", recorded)
+    return calls
 
 
 def dfs_decomposition(lam, mu):
@@ -233,10 +281,13 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_lattice_hives(t)
 
-    def test_kernels_agree(self):
-        """The frontier engine agrees with the reference DFS, run on the
-        untwisted boundary, in count, existence, enumeration and the batched
-        decomposition."""
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_kernels_agree(self, monkeypatch, budget):
+        """The kernels agree with the reference DFS, run on the untwisted
+        boundary, in count, existence, enumeration and the batched
+        decomposition, whatever share of the counts the depth-first walk
+        takes."""
+        monkeypatch.setattr(_kernels, "DFS_NODES", budget)
         rng = random.Random(19)
         for _ in range(20):
             t = random_triple(rng, rng.randint(2, 5), span=4)
@@ -271,10 +322,11 @@ class TestCounting:
                                            [x + b for x in t.mu])
             assert list(got.items()) == want
 
+    @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("rows", [1, 7])
-    def test_split_frontier(self, monkeypatch, rows):
+    def test_split_frontier(self, monkeypatch, rows, budget):
         """Layers cut into pieces of 1 or 7 children give the same answers,
-        in the same order."""
+        in the same order; at budget 0 every count goes through them."""
         cases = [ADJ, BoundaryTriple((6, 4, 2, 0), (6, 4, 2, 0),
                                      (-2, -5, -7, -10)),
                  BoundaryTriple((4, 3, 2, 1, 0), (4, 3, 2, 1, 0),
@@ -290,19 +342,49 @@ class TestCounting:
         want = answers()
         assert [a[0] for a in want] == [2, 11, 16, 0]
         monkeypatch.setattr(_kernels, "FRONTIER_ROWS", rows)
+        monkeypatch.setattr(_kernels, "DFS_NODES", budget)
         assert answers() == want
 
-    def test_big_count_bounded_memory(self):
-        t = BoundaryTriple(tuple(5 * x for x in (5, 4, 3, 2, 1, 0)),
-                           tuple(5 * x for x in (5, 4, 3, 2, 1, 0)),
-                           sigma_to_nu(tuple(5 * x for x in (8, 7, 6, 4, 3, 2))))
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_counts_match_reference(self, monkeypatch, budget):
+        """Counts equal the reference DFS on 360 seeded draws at every
+        budget, the empty interior of n <= 2 (which counts 1) included."""
+        monkeypatch.setattr(_kernels, "DFS_NODES", budget)
+        draws = count_draws()
+        assert {t.n for t, _ in draws} == set(range(1, 7))
+        assert sum(abs(t.lam[-1]) > 2 ** 40 for t, _ in draws) >= 100
+        for t in (BoundaryTriple((3,), (2,), (-5,)),
+                  BoundaryTriple((2, 0), (2, 0), (-2, -2))):
+            assert count_lattice_hives(t) == dfs_count(t) == 1
+        for t, want in draws:
+            assert count_lattice_hives(t) == want, t
+
+    def test_small_counts_stay_off_frontier(self, monkeypatch):
+        """A count of at most 250 nodes never reaches the frontier."""
+        calls = record_frontier(monkeypatch)
+        small = []
+        for t, want in count_draws():
+            row = hivecomb.hive._kernel_row(t)
+            if row is not None and _kernels.depth_first(
+                    row.tolist(), _plan(t.n).bounds, 250) is not None:
+                small.append((t, want))
+        assert len(small) >= 300 and max(want for _, want in small) >= 10
+        assert [count_lattice_hives(t) for t, _ in small] == \
+            [want for _, want in small]
+        assert calls == []
+
+    def test_big_count_bounded_memory(self, monkeypatch):
+        """The pinned count walks DFS_NODES rows, then goes to the frontier
+        as one row and counts right in bounded memory."""
+        calls = record_frontier(monkeypatch)
         tracemalloc.start()
         try:
-            count = count_lattice_hives(t)
+            count = count_lattice_hives(BIG)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert count == 1337644
+        assert calls == [1]
         assert peak < 50 * 2 ** 20
 
     @pytest.mark.parametrize("N", [2 ** 24, 2 ** 40])
